@@ -440,8 +440,8 @@ def cmd_serve(args) -> int:
         state_file_path,
     )
 
+    state = state_file_path(args.state_file, args.cache_dir)
     if args.status or args.stop:
-        state = state_file_path(args.state_file)
         had_file = read_state(state) is not None
         located = locate_live_server(state)
         if located is None:
@@ -490,7 +490,7 @@ def cmd_serve(args) -> int:
         port=args.port,
         jobs=args.jobs,
         cache=_exec_cache(args),
-        state_file=args.state_file,
+        state_file=state,
     )
 
     def _shutdown(signum, frame):  # noqa: ARG001 - signal handler signature

@@ -54,7 +54,7 @@ from ..collectives.certificates import (
 )
 from ..collectives.relative import relative_rank, subtree_chunks, tuned_ring_role
 from ..collectives.schedule import cached_schedule
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ReproError
 from ..util import chunk_count, scatter_size
 from .abstract import Env, Interval, Lin, RingSet, const, var
 from .symbolic import (
@@ -893,6 +893,10 @@ def crossvalidate_certificate(
     Checks, per rank and per step: delivered chunk ids, the full
     ownership set after every delivery, send activity windows, phase
     transfer counts, redundancy count, and the final ownership sets.
+    For collectives the replay path emits from their certificate
+    (:data:`~repro.collectives.emit.EMITTED`), the emitted schedule must
+    also equal the compiled extraction up to a send renumbering, so a
+    role or chunk rule changed on one side only fails here.
     Returns a list of mismatch descriptions (empty = validated).
     """
     cert = CERTIFICATES.get(name)
@@ -916,6 +920,21 @@ def crossvalidate_certificate(
     )
     for v in violations:
         failures.append(f"concrete verifier violation: {v.detail}")
+    # Imported here, not at module level: the CLI imports this module
+    # at startup and only cross-validation needs the emitter.
+    from ..collectives.emit import EMITTED, emit_schedule, schedule_mismatches
+    from ..sim.replay import compile_schedule
+
+    if name in EMITTED:
+        try:
+            emitted = emit_schedule(name, nranks, nbytes, root)
+        except ReproError as exc:
+            failures.append(f"schedule emitter raised {type(exc).__name__}: {exc}")
+        else:
+            failures.extend(
+                f"emitted schedule differs from extraction: {d}"
+                for d in schedule_mismatches(emitted, compile_schedule(schedule))
+            )
 
     ring_phase: Optional[RingPhase] = None
     scatter_phase: Optional[ScatterPhase] = None

@@ -17,9 +17,11 @@ full registry:
 (d) **flow bookkeeping** — both engines complete the same number of
     payload flows (zero-byte tokens included).
 
-Each cell extracts the collective's schedule once
+Each cell builds the replay schedule the way production does —
+collectives with a certified emitter (:mod:`repro.collectives.emit`)
+are laid out from their certificate; every other one is extracted once
 (:func:`~repro.collectives.schedule.cached_schedule` memoises it per
-process, sharing work with the cost gate), compiles it, and runs both
+process, sharing work with the cost gate) and compiled — and runs both
 engines on fresh machines so no fluid-solver state leaks between them.
 The grid spans eager and rendezvous sizes so both transport protocols
 are exercised.
@@ -159,15 +161,22 @@ def run_replay_point(
     root: int = 0,
 ) -> ReplayCheck:
     """Judge one (collective, P, nbytes) cell: DES vs replay, bitwise."""
+    # Imported here, not at module level: the CLI imports this module
+    # at startup and only a gate run needs the emitter.
+    from ..collectives.emit import EMITTED, emit_schedule
+
     spec = spec if spec is not None else hornet()
     collective = REGISTRY[name]
     try:
-        schedule = cached_schedule(
-            ("registry", name, nranks, nbytes, root, None),
-            nranks,
-            collective.build(nranks, nbytes, root),
-        )
-        compiled = compile_schedule(schedule)
+        if name in EMITTED:
+            compiled = emit_schedule(name, nranks, nbytes, root)
+        else:
+            schedule = cached_schedule(
+                ("registry", name, nranks, nbytes, root, None),
+                nranks,
+                collective.build(nranks, nbytes, root),
+            )
+            compiled = compile_schedule(schedule)
     except ReplayUnsupportedError as exc:
         return ReplayCheck(name, nranks, nbytes, "unsupported", detail=str(exc))
     except ReproError as exc:
@@ -176,7 +185,7 @@ def run_replay_point(
             nranks,
             nbytes,
             "fail",
-            detail=f"extraction raised {type(exc).__name__}: {exc}",
+            detail=f"schedule build raised {type(exc).__name__}: {exc}",
         )
     des = Job(
         Machine(spec, nranks),

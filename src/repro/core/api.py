@@ -92,14 +92,22 @@ def _resolve_algorithm(
     return name, get_algorithm(name)
 
 
-# Process-wide memo of compiled replay schedules. Extraction dominates
-# the replay path's cost, and sweep/figure/gate drivers revisit the same
-# (algorithm, P, size) points many times per process; the compiled form
-# is machine-independent, so one entry serves every spec. The key folds
-# in the placement's exact node map — the only machine input an
-# algorithm can close over (``smp``/``smp_opt``).
+# Process-wide memo of compiled replay schedules. Sweep/figure/gate
+# drivers revisit the same (algorithm, P, size) points many times per
+# process; the compiled form is machine-independent, so one entry serves
+# every spec. The key folds in the placement's exact node map — the only
+# machine input an algorithm can close over (``smp``/``smp_opt``).
 _REPLAY_MEMO: dict = {}
 _REPLAY_MEMO_CAP = 256
+
+# Resolved algorithms whose schedule the certificate emitter builds
+# (repro.collectives.emit), by (kind, label) -> registry collective.
+# Everything else — smp/smp_opt read the placement — is extracted.
+_EMITTED_ALGORITHMS = {
+    ("bcast", "scatter_ring_native"): "bcast_native",
+    ("bcast", "scatter_ring_opt"): "bcast_opt",
+    ("allgather", "ring"): "allgather_ring",
+}
 
 
 def _is_static(machine: Machine, faults, reliable, trace, validate: bool) -> bool:
@@ -118,8 +126,15 @@ def _is_static(machine: Machine, faults, reliable, trace, validate: bool) -> boo
     )
 
 
-def _replay_compiled(kind: str, machine: Machine, factory, key_tail: tuple):
-    """Extract + compile *factory*'s schedule, memoised per process."""
+def _replay_compiled(
+    kind: str, machine: Machine, factory, key_tail: tuple, emit=None
+):
+    """*factory*'s compiled replay schedule, memoised per process.
+
+    *emit* is ``(collective, nbytes, root)`` when the run is one
+    certified schedule the emitter lays out directly; otherwise the
+    schedule is extracted by running *factory* and then compiled.
+    """
     placement = machine.placement
     key = (
         kind,
@@ -129,14 +144,24 @@ def _replay_compiled(kind: str, machine: Machine, factory, key_tail: tuple):
     )
     compiled = _REPLAY_MEMO.get(key)
     if compiled is None:
-        schedule = extract_schedule(machine.nranks, factory, placement=placement)
-        compiled = compile_schedule(schedule)
+        if emit is not None:
+            from ..collectives.emit import emit_schedule
+
+            collective, nbytes, root = emit
+            compiled = emit_schedule(collective, machine.nranks, nbytes, root)
+        else:
+            schedule = extract_schedule(
+                machine.nranks, factory, placement=placement
+            )
+            compiled = compile_schedule(schedule)
         if len(_REPLAY_MEMO) < _REPLAY_MEMO_CAP:
             _REPLAY_MEMO[key] = compiled
     return compiled
 
 
-def _dispatch(machine, factory, kind, key_tail, working_set, *, static=True):
+def _dispatch(
+    machine, factory, kind, key_tail, working_set, *, static=True, emit=None
+):
     """Run *factory* on the engine ``REPRO_ENGINE`` selects.
 
     Returns ``(result, engine_name)`` where *result* quacks like a
@@ -144,6 +169,7 @@ def _dispatch(machine, factory, kind, key_tail, working_set, *, static=True):
     ``solver_stats``). ``static=False`` marks configurations the replay
     engine cannot express; ``auto`` then runs the DES and a forced
     ``replay`` fails loudly instead of silently changing semantics.
+    *emit* is passed through to :func:`_replay_compiled`.
     """
     mode = engine_mode()
     if solver_mode() != "incremental":
@@ -159,7 +185,7 @@ def _dispatch(machine, factory, kind, key_tail, working_set, *, static=True):
         return None, "des"
     if mode != "des" and static:
         try:
-            compiled = _replay_compiled(kind, machine, factory, key_tail)
+            compiled = _replay_compiled(kind, machine, factory, key_tail, emit)
             engine = ReplayEngine(machine, compiled, working_set=working_set)
             return engine.run(), "replay"
         except ReplayUnsupportedError as exc:
@@ -254,6 +280,7 @@ def simulate_bcast(
 
         return program()
 
+    certified = _EMITTED_ALGORITHMS.get(("bcast", label))
     result, engine = _dispatch(
         machine,
         factory,
@@ -261,6 +288,8 @@ def simulate_bcast(
         (label, size, root, iterations),
         size,
         static=_is_static(machine, faults, reliable, trace, validate),
+        # The barrier loop of iterations > 1 is not part of the certificate.
+        emit=(certified, size, root) if certified and iterations == 1 else None,
     )
     if result is None:
         result = Job(
@@ -374,6 +403,7 @@ def simulate_allgather(
         return program()
 
     total = block * nranks
+    certified = _EMITTED_ALGORITHMS.get(("allgather", algorithm))
     result, engine = _dispatch(
         machine,
         factory,
@@ -381,6 +411,7 @@ def simulate_allgather(
         (algorithm, block),
         total,
         static=_is_static(machine, None, None, trace, False),
+        emit=(certified, total, 0) if certified else None,
     )
     if result is None:
         result = Job(machine, factory, trace=trace, working_set=total).run()

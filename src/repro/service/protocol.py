@@ -161,10 +161,13 @@ def decode_reliable(data: Optional[dict]):
 
 
 # -- discovery state file ---------------------------------------------
-def state_file_path(path=None) -> Path:
-    """Resolve the discovery state file (default: under the cache dir)."""
+def state_file_path(path=None, cache_dir=None) -> Path:
+    """Resolve the discovery state file: *path* when given, else
+    ``service.json`` under *cache_dir*, else under the default cache dir."""
     if path:
         return Path(path).expanduser()
+    if cache_dir:
+        return Path(cache_dir).expanduser() / DEFAULT_STATE_FILE
     return default_cache_dir() / DEFAULT_STATE_FILE
 
 

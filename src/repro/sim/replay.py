@@ -8,10 +8,12 @@ per-message ``Request``/``_Delivery`` objects and matching engines are
 pure overhead: the matching outcome is already known, only the *timing*
 remains to be computed.
 
-:class:`ReplayEngine` computes exactly that timing. The extracted
-schedule is compiled once (:func:`compile_schedule`) into flat numpy
-arrays — per-message ``(src, dst, nbytes, tag, dep_prefix)`` plus one
-``(kind, arg)`` op stream per rank — and then executed as a
+:class:`ReplayEngine` computes exactly that timing. The schedule is
+laid out once as flat numpy arrays (a :class:`ReplaySchedule`) —
+per-message ``(src, dst, nbytes, tag)`` plus one ``(kind, arg)`` op
+stream per rank — either compiled from an extracted schedule
+(:func:`compile_schedule`) or, for collectives with a certified shape,
+emitted directly by :mod:`repro.collectives.emit` — and then executed as a
 dependency-counted frontier over the *same* :class:`~repro.sim.engine.Engine`
 the DES uses. Each rank is a program counter, not a coroutine: ready
 ops are drained in batches until the rank blocks, and every send
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import os
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -182,7 +184,6 @@ class ReplaySchedule:
         "send_dst",
         "send_nbytes",
         "send_tag",
-        "dep_prefix",
         "op_kinds",
         "op_args",
         "wait_members",
@@ -197,10 +198,9 @@ class ReplaySchedule:
         send_dst: np.ndarray,
         send_nbytes: np.ndarray,
         send_tag: np.ndarray,
-        dep_prefix: np.ndarray,
         op_kinds: List[np.ndarray],
         op_args: List[np.ndarray],
-        wait_members: List[List[Tuple[int, ...]]],
+        wait_members: Sequence[Sequence[Tuple[int, ...]]],
         compute_seconds: List[List[float]],
     ):
         self.nranks = nranks
@@ -209,7 +209,6 @@ class ReplaySchedule:
         self.send_dst = send_dst
         self.send_nbytes = send_nbytes
         self.send_tag = send_tag
-        self.dep_prefix = dep_prefix
         self.op_kinds = op_kinds
         self.op_args = op_args
         self.wait_members = wait_members
@@ -250,9 +249,6 @@ def compile_schedule(result) -> ReplaySchedule:
         (s.nbytes for s in result.sends), dtype=np.int64, count=n
     )
     send_tag = np.fromiter((s.tag for s in result.sends), dtype=np.int64, count=n)
-    dep_prefix = np.fromiter(
-        (result.dep_counts.get(i, 0) for i in range(n)), dtype=np.int64, count=n
-    )
 
     ranks: List[int] = []
     op_kinds: List[np.ndarray] = []
@@ -320,7 +316,6 @@ def compile_schedule(result) -> ReplaySchedule:
         send_dst=send_dst,
         send_nbytes=send_nbytes,
         send_tag=send_tag,
-        dep_prefix=dep_prefix,
         op_kinds=op_kinds,
         op_args=op_args,
         wait_members=wait_members,

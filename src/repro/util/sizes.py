@@ -9,6 +9,7 @@ follows the same convention: ``KB``/``KiB`` = 1024 bytes, ``MB``/``MiB`` =
 from __future__ import annotations
 
 import math
+import numbers
 import re
 
 from ..errors import ConfigurationError
@@ -52,14 +53,22 @@ def parse_size(text: "str | int | float") -> int:
     """Parse a human byte size (``"512KB"``, ``"1.5MiB"``, ``4096``) to bytes.
 
     Units are base-2 as in the paper. Raises :class:`ConfigurationError`
-    for unknown units or negative values.
+    for unknown units, negative values, NaN, infinities and numbers with
+    a fractional part (``1536.0`` is accepted, ``2.5`` is not: a byte
+    count is whole). Strings may scale a fraction (``"1.5MiB"``).
     """
     if isinstance(text, bool):
         raise ConfigurationError(f"not a byte size: {text!r}")
-    if isinstance(text, (int, float)):
+    if isinstance(text, numbers.Real):
+        if not isinstance(text, numbers.Integral) and (
+            not math.isfinite(text) or text != math.floor(text)
+        ):
+            raise ConfigurationError(f"not a whole byte size: {text!r}")
         if text < 0:
             raise ConfigurationError(f"negative byte size: {text!r}")
         return int(text)
+    if not isinstance(text, str):
+        raise ConfigurationError(f"not a byte size: {text!r}")
     m = _SIZE_RE.match(text)
     if not m:
         raise ConfigurationError(f"cannot parse byte size: {text!r}")

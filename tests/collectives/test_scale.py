@@ -1,10 +1,12 @@
 """Large-P structural tests via the zero-cost paths (no DES).
 
-The closed forms and the schedule executor are cheap enough to exercise
-the paper's arithmetic at scales the timed simulator would labour over
-— up to 4096 ranks for pure math, 512 for full schedule extraction.
+The closed forms, the schedule executor and the certified schedule
+emitter are cheap enough to exercise the paper's arithmetic at scales
+the timed simulator would labour over — up to 4096 ranks for pure
+math, 512 for full schedule extraction, 1024 for emitted schedules.
 """
 
+import numpy as np
 import pytest
 
 from repro.collectives import (
@@ -13,6 +15,10 @@ from repro.collectives import (
     subtree_chunks,
     tuned_ring_role,
 )
+from repro.collectives.allgather_ring import RING_TAG
+from repro.collectives.emit import emit_schedule
+from repro.collectives.scatter import SCATTER_TAG
+from repro.sim.replay import OP_IRECV, OP_ISEND, OP_RECV, OP_SEND
 from repro.core import (
     ring_transfers_native,
     ring_transfers_tuned,
@@ -77,3 +83,37 @@ class TestScheduleAtScale:
         assert subtree_sum(512) == 2816
         assert transfers_saved(512) == 2304
         assert ring_transfers_native(512) - ring_transfers_tuned(512) == 2304
+
+class TestEmittedScheduleAtScale:
+    """Emitted replay schedules past extraction's reach (root 0, every
+    chunk carrying bytes)."""
+
+    @pytest.mark.parametrize("P", [512, 1024])
+    @pytest.mark.parametrize(
+        "name,closed_form",
+        [("bcast_native", ring_transfers_native), ("bcast_opt", ring_transfers_tuned)],
+    )
+    def test_ring_counts_and_chunk_tiling(self, name, closed_form, P):
+        schedule = emit_schedule(name, P, 64 * P, 0)
+        tags = schedule.send_tag
+        assert int((tags == RING_TAG).sum()) == closed_form(P)
+        assert int((tags == SCATTER_TAG).sum()) == P - 1
+
+        # The k-th ring send of relative rank r forwards chunk r - k.
+        chunk = np.full(schedule.n_sends, -1, dtype=np.int64)
+        for rank in range(P):
+            kinds, args = schedule.op_kinds[rank], schedule.op_args[rank]
+            orders = args[(kinds == OP_SEND) | (kinds == OP_ISEND)]
+            ring = orders[tags[orders] == RING_TAG]
+            chunk[ring] = (rank - np.arange(len(ring))) % P
+        redundant = 0
+        for rank in range(P):
+            kinds, args = schedule.op_kinds[rank], schedule.op_args[rank]
+            orders = args[(kinds == OP_RECV) | (kinds == OP_IRECV)]
+            got = np.bincount(chunk[orders[tags[orders] == RING_TAG]], minlength=P)
+            run = np.zeros(P, dtype=bool)
+            run[rank : rank + subtree_chunks(rank, P)] = True
+            assert (got[~run] == 1).all(), rank  # outside the scatter run
+            assert got[rank] == 0
+            redundant += int(got[run].sum())
+        assert redundant == (0 if name == "bcast_opt" else transfers_saved(P))

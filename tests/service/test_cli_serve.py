@@ -75,6 +75,15 @@ class TestExitCodes:
         assert rc == 1
         assert "no server state file" in capsys.readouterr().err
 
+    def test_cache_dir_sets_default_state_file(self, capsys, tmp_path):
+        # --cache-dir D alone advertises (and looks up) D/service.json,
+        # not the default cache dir's state file; nothing is started.
+        cache_dir = tmp_path / "d"
+        rc = main(["serve", "--status", "--cache-dir", str(cache_dir)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"no server state file at {cache_dir / 'service.json'}" in err
+
     def test_stop_without_state_file_exits_1(self, tmp_path):
         assert main(["serve", "--stop", "--state-file", str(tmp_path / "x.json")]) == 1
 

@@ -127,6 +127,13 @@ class TestStateFile:
         assert protocol.state_file_path(None) == tmp_path / "service.json"
         assert protocol.state_file_path(tmp_path / "x.json") == tmp_path / "x.json"
 
+    def test_explicit_cache_dir_beats_default(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        d = tmp_path / "d"
+        assert protocol.state_file_path(None, d) == d / "service.json"
+        explicit = tmp_path / "x.json"
+        assert protocol.state_file_path(explicit, d) == explicit
+
 
 class TestLiveness:
     """A SIGKILL'd server cannot clean up its state file; discovery

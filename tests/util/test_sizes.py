@@ -23,8 +23,20 @@ class TestParseSize:
     def test_plain_int(self):
         assert parse_size(4096) == 4096
 
-    def test_plain_float_truncates(self):
-        assert parse_size(1536.7) == 1536
+    def test_integral_float_accepted(self):
+        assert parse_size(1536.0) == 1536
+
+    @pytest.mark.parametrize(
+        "bad", [1536.7, 2.5, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_fractional_or_non_finite_float_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            parse_size(bad)
+
+    @pytest.mark.parametrize("bad", [None, [4096], b"4096"])
+    def test_rejects_non_size_types(self, bad):
+        with pytest.raises(ConfigurationError):
+            parse_size(bad)
 
     def test_bare_number_string(self):
         assert parse_size("12288") == 12288
