@@ -5,21 +5,23 @@ Two kinds of check on the incremental, component-aware solver
 
 * **Churn micro** — ring-allgather-shaped flow churn driven straight at
   a :class:`~repro.sim.FlowNetwork` at P in {16, 64, 256}, timed for
-  both solver implementations. The incremental path must beat the
-  ``REPRO_SOLVER=reference`` from-scratch path on solver wall time at
-  P=256 (the BENCH_solver.json acceptance bar is >= 2x) while producing
-  the identical simulated schedule.
-* **Grid differential** — the full fig6a and fig7 sweeps run under both
-  solvers must produce bitwise-identical simulated times at every grid
-  point (honours ``REPRO_BENCH_FAST`` axis trimming like every other
-  bench).
+  both solver modes. The incremental path must beat the
+  ``FlowNetwork(engine, solver="reference")`` from-scratch path on
+  solver wall time at P=256 (the BENCH_solver.json acceptance bar is
+  >= 2x) while producing the identical simulated schedule.
+* **Grid differential** — the full fig6a and fig7 sweeps on the default
+  engines must match, bitwise at every grid point, the same sweeps run
+  on the DES with every flow network built in reference mode (honours
+  ``REPRO_BENCH_FAST`` axis trimming like every other bench).
 """
 
-import os
+import functools
 
 import pytest
 
 from repro.bench import NATIVE, OPT, fig6, fig7, solver_churn
+from repro.mpi import runtime
+from repro.sim import FlowNetwork
 
 from conftest import publish
 
@@ -72,29 +74,40 @@ def test_solver_churn_micro(benchmark):
 
 
 @pytest.mark.parametrize("exp_factory", [lambda: fig6("a"), fig7], ids=["fig6a", "fig7"])
-def test_solver_differential_on_figure_grids(exp_factory, benchmark):
+def test_solver_differential_on_figure_grids(exp_factory, benchmark, monkeypatch):
     """Incremental and reference solvers agree bitwise on whole figure
     grids — every simulated time, message count and byte count."""
-    grids = {}
+    grids, modes = {}, {}
     for mode in ("incremental", "reference"):
-        os.environ["REPRO_SOLVER"] = mode
-        try:
+        with monkeypatch.context() as patch:
+            if mode == "reference":
+                # The reference oracle runs on the DES, whose flow
+                # networks are built through this constructor.
+                patch.setenv("REPRO_ENGINE", "des")
+                patch.setattr(
+                    runtime,
+                    "FlowNetwork",
+                    functools.partial(FlowNetwork, solver="reference"),
+                )
             exp = exp_factory()
             exp.run()  # no disk cache: both modes must really simulate
-            grids[mode] = {
-                (rec.algorithm, rec.nranks, rec.nbytes): (
-                    rec.time,
-                    rec.messages,
-                    rec.bytes_on_wire,
-                )
+            recs = [
+                exp.sweep.record(algo, p, size)
                 for algo in (NATIVE, OPT)
                 for p in exp.ranks_axis
                 for size in exp.sizes_axis
-                for rec in [exp.sweep.record(algo, p, size)]
-            }
-        finally:
-            del os.environ["REPRO_SOLVER"]
+            ]
+        modes[mode] = {rec.solver_mode for rec in recs}
+        grids[mode] = {
+            (rec.algorithm, rec.nranks, rec.nbytes): (
+                rec.time,
+                rec.messages,
+                rec.bytes_on_wire,
+            )
+            for rec in recs
+        }
     assert grids["incremental"] == grids["reference"]
     assert len(grids["incremental"]) >= 4
+    assert modes["reference"] == {"reference"}
 
     benchmark.pedantic(lambda: len(grids["incremental"]), rounds=1, iterations=1)

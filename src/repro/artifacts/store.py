@@ -90,12 +90,10 @@ def artifact_digest(obj: Any) -> str:
 
 def env_fingerprint() -> Dict[str, str]:
     """The environment a result is only comparable under."""
-    from ..sim import solver_mode
     from ..sim.replay import engine_mode
 
     return {
         "cache_version": CACHE_VERSION,
-        "solver": solver_mode(),
         "engine": engine_mode(),
         "python": platform.python_version(),
         "platform": sys.platform,

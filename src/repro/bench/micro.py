@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 from ..errors import ConfigurationError
 from ..machine import Machine, MachineSpec
@@ -166,7 +166,7 @@ def solver_churn(
     ranks_per_node: int = 8,
     block_nbytes: Union[int, str] = "64KiB",
     cancel_every: int = 7,
-    solver: Optional[str] = None,
+    solver: str = "incremental",
 ) -> SolverChurnResult:
     """Ring-allgather-shaped flow churn driven straight at a FlowNetwork.
 

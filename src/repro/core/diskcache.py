@@ -54,7 +54,6 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from ..machine import MachineSpec
-from ..sim import solver_mode
 from ..sim.replay import engine_mode
 from .report import RunRecord
 
@@ -76,7 +75,8 @@ __all__ = [
 # alters simulated results (engine semantics, fluid model, algorithms).
 # 2026.08.08.2: solver_rounds now counts kernel-equivalent rounds on
 # memo hits too (cross-run shared solve memo).
-CACHE_VERSION = "2026.08.08.2"
+# 2026.10.17.1: the solver-mode field left the key (one solver per engine).
+CACHE_VERSION = "2026.10.17.1"
 
 _LEGACY_FILENAME = "sweep-records.jsonl"
 _SHARD_DIR = "shards"
@@ -121,12 +121,9 @@ def cache_key(
         "point": (point.algorithm, point.nranks, point.nbytes),
         "root": root,
         "placement": str(placement),
-        # Both solvers produce bitwise-identical times, but the cached
-        # record carries mode-specific telemetry, so key on the mode.
-        # The execution engine (REPRO_ENGINE) is keyed for the same
-        # reason: DES and replay agree bitwise on times and counters,
-        # but the record's engine/solver telemetry differs.
-        "solver": solver_mode(),
+        # DES and replay agree bitwise on times and counters, but the
+        # record's engine/solver telemetry differs, so key on the
+        # execution engine (REPRO_ENGINE).
         "engine": engine_mode(),
         "faults": faults.digest() if faults is not None else "",
         "reliable": repr(reliable) if reliable else "",

@@ -1,6 +1,6 @@
-"""Max-min fair fluid-flow network driving all transfer timing.
+"""Max-min fair fluid-flow network: the one data plane behind both engines.
 
-Each in-flight message is a :class:`Flow` with a byte count and a path of
+Each in-flight transfer is a flow with a byte count and a path of
 :class:`~repro.sim.resources.Resource` objects. Whenever the active-flow
 set changes the network
 
@@ -13,37 +13,54 @@ either a resource saturates or a flow hits its individual rate cap; the
 binding flows are fixed and the process repeats. This yields the unique
 max-min fair allocation.
 
-The solver is the simulator's hot loop (it runs twice per message), so
-it is both vectorised and *incremental*:
+Both execution engines drive the same network through two entry points:
 
-* flow state (remaining bytes, current rate, rate cap) lives in
-  persistent slot-indexed numpy vectors updated in place on
-  ``add_flow``/``cancel_flow`` — advancing progress and finding the next
-  completion ETA are single array operations, never Python loops;
-* membership is tracked with O(1) index maps (fid -> slot), so removing
-  a flow never scans the active set;
+* the coroutine DES calls :meth:`FlowNetwork.add_flow` with a resource
+  path and gets back a :class:`Flow` handle, which attaches to each
+  resource (``Resource.load``/``utilization`` see it) and can be
+  cancelled;
+* the replay engine (:mod:`repro.sim.replay`) interns its transfer plans
+  before the clock starts and calls :meth:`FlowNetwork.start` with an
+  integer path class and a completion callback — no handle, no attach.
+
+The network runs twice per message, so it is built for cost per event:
+
+* per-flow state (remaining bytes, current rate) lives in plain dicts of
+  floats keyed by flow id — frontiers are typically a handful of flows,
+  so byte accrual and completion ETAs are scalar arithmetic;
 * flows are grouped into *contention components* — connected groups of
   the flow/resource sharing graph, maintained with a union-find over
   each path's resources — and a re-solve only runs progressive filling
-  for the component(s) touched since the last solve.  Max-min fairness
-  guarantees disjoint components keep their previous rates.
+  for the component(s) touched since the last solve. Max-min fairness
+  guarantees disjoint components keep their previous rates;
+* component solves are *memoised* by the multiset of path classes they
+  contain (below).
 
 The water-filling kernel recomputes each resource's absolute saturation
 level ``(capacity - fixed_rates) / pending`` fresh every round instead
-of accumulating headroom deltas.  That makes the kernel's floating-point
-path *independent of component grouping*: solving a disjoint union of
-components in one call produces bitwise-identical rates to solving them
-separately.  Component tracking is therefore a pure optimisation — it
-can merge lazily and split opportunistically without ever changing a
-simulated timestamp, and the incremental solver is bit-for-bit
-equivalent to the from-scratch one (enforced by the differential tests
-in ``tests/sim/test_solver_differential.py``).
+of accumulating headroom deltas, and all its reductions are exact (min,
+integer counts, equal-value sums). Two properties follow. The kernel's
+floating-point path is *independent of component grouping*: solving a
+disjoint union of components in one call produces bitwise-identical
+rates to solving them separately, so component tracking can merge lazily
+and split opportunistically without ever changing a simulated timestamp.
+And the kernel is a pure function of the multiset of *path classes* in a
+component — the (resource-id tuple, rate cap) equivalence class of each
+flow's path, interned on first sight: remaining bytes never enter it and
+same-class flows are interchangeable rows. A memo hit therefore replays
+the exact floats (and round count) the kernel produced for an identical
+component earlier. Each network owns a private memo; the replay engine,
+whose paths are all known up front, swaps in one shared by every
+structurally identical network in the process
+(:func:`repro.sim.replay.shared_solve_memo`).
 
-Set ``REPRO_SOLVER=reference`` to force the from-scratch solver — every
-re-solve repartitions all active flows and re-runs the kernel on every
-component — as a differential-testing escape hatch. ``stats()`` exposes
-solver telemetry (solve count, water-filling rounds, component sizes,
-flows advanced, solver wall time); see ``docs/performance.md``.
+``FlowNetwork(engine, solver="reference")`` is the differential-testing
+oracle: every re-solve repartitions all active flows and runs the kernel
+without the memo. It is bit-for-bit equivalent to the default
+incremental solver (enforced by ``tests/sim/test_solver_differential.py``).
+``stats()`` exposes solver telemetry (solve count, water-filling rounds,
+component sizes, flows advanced, solver wall time); see
+``docs/performance.md``.
 
 This sharing behaviour is the load-bearing part of the reproduction: the
 paper's tuned ring allgather removes transfers *without shortening the
@@ -54,10 +71,9 @@ is what this model expresses.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,32 +81,22 @@ from ..errors import SimulationError
 from .engine import Engine, EventHandle
 from .resources import Resource
 
-__all__ = ["Flow", "FlowNetwork", "SolverStats", "solver_mode"]
+__all__ = ["Flow", "FlowNetwork", "SolverStats"]
 
 # Residual byte counts below this are treated as complete; guards against
 # floating-point dust keeping a flow alive forever.
 _EPSILON_BYTES = 1e-6
+_INF = float("inf")
 
-# Environment escape hatch selecting the solver implementation.
-SOLVER_ENV = "REPRO_SOLVER"
 SOLVER_MODES = ("incremental", "reference")
-
-
-def solver_mode() -> str:
-    """The solver selected by ``REPRO_SOLVER`` (default ``incremental``)."""
-    mode = os.environ.get(SOLVER_ENV, "").strip() or "incremental"
-    if mode not in SOLVER_MODES:
-        raise SimulationError(
-            f"unknown {SOLVER_ENV} mode {mode!r}; expected one of {SOLVER_MODES}"
-        )
-    return mode
+_MEMO_CAP = 1 << 16  # component solves kept per memo
 
 
 @dataclass(frozen=True)
 class SolverStats:
     """Telemetry snapshot of one :class:`FlowNetwork`'s solver."""
 
-    mode: str  # "incremental" or "reference"
+    mode: str  # "incremental", "reference" or "replay"
     solves: int  # rate re-solves actually performed
     rounds: int  # water-filling rounds across all solves
     components_solved: int  # component kernel invocations
@@ -123,12 +129,11 @@ class SolverStats:
 
 
 class Flow:
-    """One in-flight transfer across a path of resources.
+    """Handle on one DES transfer across a path of resources.
 
-    While active, ``remaining``/``rate`` are views into the owning
-    network's slot vectors (so the solver can update thousands of flows
-    with single array writes); once detached the last values are kept
-    locally so completed/cancelled flows stay inspectable.
+    While active, ``remaining``/``rate`` read the owning network's
+    per-flow state; once detached the last values are kept locally so
+    completed/cancelled flows stay inspectable.
     """
 
     __slots__ = (
@@ -141,7 +146,6 @@ class Flow:
         "meta",
         "start_time",
         "_net",
-        "_slot",
         "_remaining",
         "_rate",
     )
@@ -166,39 +170,26 @@ class Flow:
         self.meta = meta
         self.start_time = start_time
         self._net: Optional["FlowNetwork"] = None
-        self._slot = -1
         self._remaining = float(nbytes)
         self._rate = 0.0
 
     @property
     def remaining(self) -> float:
         net = self._net
-        if net is not None:
-            return float(net._rem[self._slot])
-        return self._remaining
+        return net._rem[self.fid] if net is not None else self._remaining
 
     @remaining.setter
     def remaining(self, value: float) -> None:
         net = self._net
         if net is not None:
-            net._rem[self._slot] = value
+            net._rem[self.fid] = float(value)
         else:
             self._remaining = float(value)
 
     @property
     def rate(self) -> float:
         net = self._net
-        if net is not None:
-            return float(net._rate_vec[self._slot])
-        return self._rate
-
-    @rate.setter
-    def rate(self, value: float) -> None:
-        net = self._net
-        if net is not None:
-            net._rate_vec[self._slot] = value
-        else:
-            self._rate = float(value)
+        return net._rate[self.fid] if net is not None else self._rate
 
     def eta(self) -> float:
         """Seconds until completion at the current rate (inf when stalled)."""
@@ -220,60 +211,64 @@ class Flow:
 class FlowNetwork:
     """Progressive-filling fluid network bound to a simulation engine.
 
-    ``solver`` selects the re-solve strategy (defaults to the
-    ``REPRO_SOLVER`` environment variable, then ``"incremental"``):
+    ``solver`` selects the re-solve strategy:
 
-    * ``"incremental"`` — persistent state, component tracking, re-solve
-      only what changed (the production path);
-    * ``"reference"`` — stateless from-scratch partition + solve of every
-      active flow on each change (the differential-testing baseline).
+    * ``"incremental"`` — component tracking and the class-multiset
+      memo; re-solve only what changed (the production path);
+    * ``"reference"`` — stateless from-scratch partition and unmemoised
+      solve of every active flow on each change (the differential-testing
+      oracle).
     """
 
-    def __init__(self, engine: Engine, solver: Optional[str] = None):
-        self.engine = engine
-        self.solver = solver if solver is not None else solver_mode()
-        if self.solver not in SOLVER_MODES:
+    def __init__(self, engine: Engine, solver: str = "incremental"):
+        if solver not in SOLVER_MODES:
             raise SimulationError(
-                f"unknown solver {self.solver!r}; expected one of {SOLVER_MODES}"
+                f"unknown solver {solver!r}; expected one of {SOLVER_MODES}"
             )
+        self.engine = engine
+        self.solver = solver
         self._next_fid = 0
         self._last_update = engine.now
         self._completion_event: Optional[EventHandle] = None
         self._resolve_event: Optional[EventHandle] = None
         self.completed_count = 0
         self.total_bytes_transferred = 0.0
-        # Resource registry: network-local integer ids + capacity vector.
-        self._res_index: dict = {}
-        self._capacities: list = []
+        # Interned resources (network-local integer ids + capacities) and
+        # path classes: (resource-id tuple, rate cap) -> class id, plus a
+        # cache from the (resource tuple, rate cap) callers pass in.
+        self._res_index: Dict[Resource, int] = {}
+        self._capacities: List[float] = []
         self._caps_array = np.empty(0)
-        self._caps_dirty = False
-        # Path cache: resource tuple -> id array (machines cache plans, so
-        # identical paths arrive as identical tuples).
-        self._path_ids: dict = {}
-        # Slot pool: persistent per-flow vectors updated in place. A slot
-        # is claimed on add_flow and recycled on completion/cancel; the
-        # fid -> slot map gives O(1) membership tests and removal.
-        self._rem = np.empty(0)  # remaining bytes per slot
-        self._rate_vec = np.empty(0)  # current rate per slot
-        self._cap_vec = np.empty(0)  # rate cap per slot (inf = uncapped)
-        self._slot_flow: list = []  # slot -> Flow (None when free)
-        self._free_slots: list = []
-        self._fid_slot: dict = {}  # fid -> slot, insertion ordered
-        self._slots_np = np.empty(0, dtype=np.int64)
-        self._slots_stale = True
+        self._path_class: Dict[tuple, int] = {}
+        self._class_index: Dict[tuple, int] = {}
+        self._class_rids: List[List[int]] = []
+        self._class_ids: List[np.ndarray] = []
+        self._class_cap: List[float] = []  # inf when uncapped
+        # Active flows, keyed by fid (insertion order is fid order):
+        # remaining bytes, current rate, and (class, callback, arg, Flow
+        # handle or None).
+        self._rem: Dict[int, float] = {}
+        self._rate: Dict[int, float] = {}
+        self._flows: Dict[int, tuple] = {}
         # Contention components (incremental mode): disjoint groups of
         # flows connected through shared resources. Components merge
-        # eagerly on add_flow and are repartitioned opportunistically
-        # after enough removals — the kernel's grouping independence
-        # makes both operations timing-neutral.
+        # eagerly on start and are repartitioned opportunistically after
+        # enough removals — the kernel's grouping independence makes both
+        # operations timing-neutral.
         self._next_comp = 0
-        self._flow_comp: dict = {}  # fid -> comp id
-        self._comp_flows: dict = {}  # comp id -> {fid: Flow} (insertion order)
-        self._comp_res: dict = {}  # comp id -> set of resource ids
-        self._res_comp: dict = {}  # resource id -> comp id
-        self._comp_removals: dict = {}  # comp id -> removals since repartition
+        self._flow_comp: Dict[int, int] = {}  # fid -> comp id
+        self._comp_flows: Dict[int, Dict[int, int]] = {}  # comp -> {fid: class}
+        self._comp_res: Dict[int, set] = {}  # comp id -> set of resource ids
+        self._res_comp: Dict[int, int] = {}  # resource id -> comp id
+        self._comp_removals: Dict[int, int] = {}  # comp -> removals since split
         self._dirty_comps: set = set()  # components needing a re-solve
         self._split_comps: set = set()  # components due a repartition
+        # Sorted class tuple -> ({class: rate}, kernel rounds); None in
+        # reference mode. Hits replay the stored rounds so the telemetry,
+        # like the rates, is independent of memo history.
+        self.memo: Optional[Dict[Tuple[int, ...], Tuple[Dict[int, float], int]]] = (
+            {} if solver == "incremental" else None
+        )
         # Telemetry.
         self._stat_solves = 0
         self._stat_rounds = 0
@@ -302,39 +297,88 @@ class FlowNetwork:
         if rate_cap is not None and rate_cap <= 0:
             raise SimulationError(f"flow rate cap must be positive, got {rate_cap}")
         path = tuple(resources)
+        cls = self.intern(path, rate_cap)
         flow = Flow(
             self._next_fid,
             nbytes,
             path,
-            self._ids_for(path),
+            self._class_ids[cls],
             rate_cap,
             on_complete,
             meta,
             self.engine.now,
         )
+        if self.start(nbytes, cls, self._finish_flow, flow, flow):
+            flow._net = self
+            for res in path:
+                res.attach(flow)
+        return flow
+
+    def start(
+        self, nbytes: float, cls: int, callback: Callable, arg, flow=None
+    ) -> bool:
+        """Start a transfer of path class *cls* (see :meth:`intern`).
+
+        ``callback(arg)`` fires at delivery time; zero-byte transfers
+        complete via a zero-delay event. Returns whether the flow became
+        active. *flow* is the DES handle :meth:`add_flow` passes in.
+        """
+        fid = self._next_fid
         self._next_fid += 1
         if nbytes <= _EPSILON_BYTES:
-            self.engine.schedule(0.0, self._finish_flow, flow)
-            return flow
-        if not path and rate_cap is None:
+            self.engine.schedule(0.0, self._complete, callback, arg)
+            return False
+        if not self._class_rids[cls] and self._class_cap[cls] == _INF:
             raise SimulationError("flow has no resources and no rate cap")
         self._advance()
-        self._claim_slot(flow)
-        for res in path:
-            res.attach(flow)
+        self._rem[fid] = float(nbytes)
+        self._rate[fid] = 0.0
+        self._flows[fid] = (cls, callback, arg, flow)
         if self.solver == "incremental":
-            self._comp_add(flow)
-        self._schedule_resolve()
-        return flow
+            self._comp_add(fid, cls)
+        if self._resolve_event is None:
+            self._resolve_event = self.engine.schedule(0.0, self._deferred_resolve)
+        return True
 
     def cancel_flow(self, flow: Flow) -> None:
         """Abort an in-flight transfer without firing its callback."""
-        slot = self._fid_slot.get(flow.fid)
-        if slot is None or self._slot_flow[slot] is not flow:
+        entry = self._flows.get(flow.fid)
+        if entry is None or entry[3] is not flow:
             return
         self._advance()
-        self._remove(flow)
-        self._schedule_resolve()
+        self._remove(flow.fid)
+        if self._resolve_event is None:
+            self._resolve_event = self.engine.schedule(0.0, self._deferred_resolve)
+
+    def intern(self, resources: tuple, rate_cap: Optional[float] = None) -> int:
+        """The path class of a (resource tuple, rate cap), interned on
+        first sight together with any resource not seen before."""
+        key = (resources, rate_cap)
+        cls = self._path_class.get(key)
+        if cls is None:
+            rids = []
+            for res in resources:
+                rid = self._res_index.get(res)
+                if rid is None:
+                    rid = self._res_index[res] = len(self._capacities)
+                    self._capacities.append(res.capacity)
+                rids.append(rid)
+            ckey = (tuple(rids), _INF if rate_cap is None else rate_cap)
+            cls = self._class_index.get(ckey)
+            if cls is None:
+                cls = self._class_index[ckey] = len(self._class_rids)
+                self._class_rids.append(rids)
+                self._class_ids.append(np.asarray(rids, dtype=np.int64))
+                self._class_cap.append(ckey[1])
+            self._path_class[key] = cls
+        return cls
+
+    def signature(self) -> tuple:
+        """The network's structure: every interned resource capacity and
+        each class id's (resource ids, rate cap). Networks with equal
+        signatures produce identical kernel outputs for identical class
+        multisets, so they may share one memo."""
+        return (tuple(self._capacities), tuple(self._class_index))
 
     def flush(self) -> None:
         """Force any deferred rate re-solve to run now.
@@ -361,90 +405,134 @@ class FlowNetwork:
             solve_time_s=self._stat_solve_time,
         )
 
-    def _schedule_resolve(self) -> None:
-        if self._resolve_event is None:
-            self._resolve_event = self.engine.schedule(0.0, self._deferred_resolve)
+    @property
+    def active_count(self) -> int:
+        return len(self._flows)
 
+    @property
+    def active(self) -> List[Flow]:
+        """Active flow handles ordered by fid (a snapshot; do not mutate)."""
+        return [entry[3] for entry in self._flows.values()]
+
+    # -- flow lifecycle ----------------------------------------------------
     def _deferred_resolve(self) -> None:
         self._resolve_event = None
         self._resolve()
 
-    @property
-    def active_count(self) -> int:
-        return len(self._fid_slot)
+    def _remove(self, fid: int) -> tuple:
+        """Drop an active flow; returns its ``(callback, arg)``."""
+        _, callback, arg, flow = self._flows.pop(fid)
+        rem = self._rem.pop(fid)
+        rate = self._rate.pop(fid)
+        if self.solver == "incremental":
+            self._comp_remove(fid)
+        if flow is not None:
+            flow._net = None
+            flow._remaining = rem
+            flow._rate = rate
+            for res in flow.resources:
+                res.detach(flow)
+        return callback, arg
 
-    @property
-    def active(self) -> List[Flow]:
-        """Active flows ordered by fid (a snapshot; do not mutate)."""
-        slot_flow = self._slot_flow
-        fid_slot = self._fid_slot
-        return [slot_flow[fid_slot[fid]] for fid in sorted(fid_slot)]
+    def _advance(self) -> None:
+        """Accrue progress for every active flow up to the current time."""
+        now = self.engine.now
+        elapsed = now - self._last_update
+        rem = self._rem
+        if elapsed > 0.0 and rem:
+            rate = self._rate
+            for fid, r in rem.items():
+                p = r - rate[fid] * elapsed
+                rem[fid] = p if p > 0.0 else 0.0
+            self._stat_flows_advanced += len(rem)
+        self._last_update = now
 
-    # -- resource / path indexing -------------------------------------------
-    def _ids_for(self, path: tuple):
-        ids = self._path_ids.get(path)
-        if ids is None:
-            out = []
-            for res in path:
-                idx = self._res_index.get(res)
-                if idx is None:
-                    idx = len(self._capacities)
-                    self._res_index[res] = idx
-                    self._capacities.append(res.capacity)
-                    self._caps_dirty = True
-                out.append(idx)
-            ids = np.asarray(out, dtype=np.int64)
-            self._path_ids[path] = ids
-        return ids
+    def _resolve(self, stalled: bool = False) -> None:
+        """Re-solve rates and reschedule the next completion event.
 
-    # -- slot pool ---------------------------------------------------------
-    def _claim_slot(self, flow: Flow) -> None:
-        if self._free_slots:
-            slot = self._free_slots.pop()
-        else:
-            slot = len(self._slot_flow)
-            self._slot_flow.append(None)
-            if slot >= len(self._rem):
-                grow = max(16, 2 * len(self._rem))
-                for name in ("_rem", "_rate_vec", "_cap_vec"):
-                    old = getattr(self, name)
-                    fresh = np.zeros(grow)
-                    fresh[: len(old)] = old
-                    setattr(self, name, fresh)
-        self._slot_flow[slot] = flow
-        self._fid_slot[flow.fid] = slot
-        self._rem[slot] = flow._remaining
-        self._rate_vec[slot] = 0.0
-        self._cap_vec[slot] = flow.rate_cap if flow.rate_cap is not None else np.inf
-        flow._net = self
-        flow._slot = slot
-        self._slots_stale = True
-
-    def _release_slot(self, flow: Flow) -> None:
-        slot = self._fid_slot.pop(flow.fid)
-        flow._remaining = float(self._rem[slot])
-        flow._rate = float(self._rate_vec[slot])
-        flow._net = None
-        flow._slot = -1
-        self._slot_flow[slot] = None
-        self._free_slots.append(slot)
-        self._slots_stale = True
-
-    def _active_slots(self) -> np.ndarray:
-        if self._slots_stale:
-            n = len(self._fid_slot)
-            self._slots_np = np.fromiter(
-                self._fid_slot.values(), dtype=np.int64, count=n
+        *stalled* marks the re-arm after a completion event that
+        finished no flow. If the next completion is then too close to
+        move the clock, every later event would fire at the same ``now``
+        without progress, so this raises instead of livelocking.
+        """
+        self._solve_rates()
+        if self._completion_event is not None:
+            self._completion_event.cancel()
+            self._completion_event = None
+        rem = self._rem
+        if not rem:
+            return
+        rate = self._rate
+        next_eta = _INF
+        for fid, r in rem.items():
+            rt = rate[fid]
+            eta = r / rt if rt > 0.0 else _INF
+            if r <= _EPSILON_BYTES:
+                eta = 0.0
+            if eta < next_eta:
+                next_eta = eta
+        if next_eta == _INF:
+            raise SimulationError(
+                f"{len(rem)} active flow(s) are stalled at zero rate"
             )
-            self._slots_stale = False
-        return self._slots_np
+        if stalled:
+            now = self.engine.now
+            if now + next_eta == now:
+                self._raise_stuck(now)
+        self._completion_event = self.engine.schedule(
+            next_eta, self._on_completion_event
+        )
+
+    def _raise_stuck(self, now: float) -> None:
+        rate = self._rate
+        stuck = [
+            f"#{fid} ({r!r} B left at {rate[fid]!r} B/s)"
+            for fid, r in self._rem.items()
+            if rate[fid] > 0.0 and now + r / rate[fid] == now
+        ]
+        raise SimulationError(
+            f"{len(stuck)} flow(s) cannot progress at t={now!r}s: their "
+            f"completion is below the clock's resolution: " + ", ".join(stuck[:8])
+        )
+
+    def _on_completion_event(self) -> None:
+        self._completion_event = None
+        if self._resolve_event is not None:
+            # The direct resolve below covers any deferred one.
+            self._resolve_event.cancel()
+            self._resolve_event = None
+        self._advance()
+        finished = sorted(
+            fid for fid, r in self._rem.items() if r <= _EPSILON_BYTES
+        )
+        if not finished:
+            # Float rounding left dust above the threshold; re-arm.
+            self._resolve(stalled=True)
+            return
+        done = [self._remove(fid) for fid in finished]
+        self._resolve()
+        for callback, arg in done:  # fid order
+            self.completed_count += 1
+            callback(arg)
+
+    def _complete(self, callback: Callable, arg) -> None:
+        self.completed_count += 1
+        callback(arg)
+
+    def _finish_flow(self, flow: Flow) -> None:
+        flow.remaining = 0.0
+        self.total_bytes_transferred += flow.nbytes
+        if flow.on_complete is not None:
+            flow.on_complete(flow)
 
     # -- component tracking ------------------------------------------------
-    def _comp_add(self, flow: Flow) -> None:
+    def _comp_add(self, fid: int, cls: int) -> None:
         comp_flows = self._comp_flows
+        res_comp = self._res_comp
+        rids = self._class_rids[cls]
         found: list = []
-        for rid in flow.res_ids.tolist():
-            c = self._res_comp.get(rid)
+        for rid in rids:
+            c = res_comp.get(rid)
             if c is not None and c not in found:
                 found.append(c)
         if not found:
@@ -462,12 +550,12 @@ class FlowNetwork:
                     continue
                 moved = comp_flows.pop(c)
                 comp_flows[target].update(moved)
-                for fid in moved:
-                    self._flow_comp[fid] = target
+                for f in moved:
+                    self._flow_comp[f] = target
                 res = self._comp_res.pop(c)
                 self._comp_res[target] |= res
                 for rid in res:
-                    self._res_comp[rid] = target
+                    res_comp[rid] = target
                 self._dirty_comps.discard(c)
                 if c in self._split_comps:
                     self._split_comps.discard(c)
@@ -475,15 +563,14 @@ class FlowNetwork:
                 self._comp_removals[target] = self._comp_removals.pop(
                     target, 0
                 ) + self._comp_removals.pop(c, 0)
-        for rid in flow.res_ids.tolist():
-            self._res_comp[rid] = target
+        for rid in rids:
+            res_comp[rid] = target
             self._comp_res[target].add(rid)
-        comp_flows[target][flow.fid] = flow
-        self._flow_comp[flow.fid] = target
+        comp_flows[target][fid] = cls
+        self._flow_comp[fid] = target
         self._dirty_comps.add(target)
 
-    def _comp_remove(self, flow: Flow) -> None:
-        fid = flow.fid
+    def _comp_remove(self, fid: int) -> None:
         c = self._flow_comp.pop(fid)
         flows = self._comp_flows[c]
         del flows[fid]
@@ -507,12 +594,12 @@ class FlowNetwork:
         else:
             self._comp_removals[c] = removed
 
-    @staticmethod
-    def _partition(flows: List[Flow]) -> List[List[Flow]]:
-        """Group fid-ordered *flows* into contention components.
+    def _partition(self, flows: Dict[int, int]) -> List[Dict[int, int]]:
+        """Group ``{fid: class}`` into contention components.
 
-        Union-find over resource ids; groups come back ordered by their
-        first flow's fid with members in fid order — fully deterministic.
+        Union-find over resource ids, flows visited in fid order; groups
+        come back ordered by their first flow's fid with members in fid
+        order — fully deterministic.
         """
         parent: dict = {}
 
@@ -524,10 +611,11 @@ class FlowNetwork:
                 parent[x], x = root, parent[x]
             return root
 
+        ordered = sorted(flows)
         keys: list = []
-        for flow in flows:
+        for fid in ordered:
             base = None
-            for rid in flow.res_ids.tolist():
+            for rid in self._class_rids[flows[fid]]:
                 if rid not in parent:
                     parent[rid] = rid
                 root = find(rid)
@@ -538,15 +626,15 @@ class FlowNetwork:
             keys.append(base)
 
         groups: dict = {}
-        ordered: list = []
-        for flow, key in zip(flows, keys):
-            gkey = ("f", flow.fid) if key is None else ("r", find(key))
+        grouped: list = []
+        for fid, key in zip(ordered, keys):
+            gkey = ("f", fid) if key is None else ("r", find(key))
             group = groups.get(gkey)
             if group is None:
-                groups[gkey] = group = []
-                ordered.append(group)
-            group.append(flow)
-        return ordered
+                groups[gkey] = group = {}
+                grouped.append(group)
+            group[fid] = flows[fid]
+        return grouped
 
     def _repartition_comp(self, c: int) -> None:
         """Rebuild one component's grouping from its surviving flows."""
@@ -556,89 +644,95 @@ class FlowNetwork:
                 del self._res_comp[rid]
         self._dirty_comps.discard(c)
         self._comp_removals.pop(c, None)
-        ordered = [flows[fid] for fid in sorted(flows)]
-        for group in self._partition(ordered):
+        for group in self._partition(flows):
             nc = self._next_comp
             self._next_comp += 1
-            self._comp_flows[nc] = {f.fid: f for f in group}
+            self._comp_flows[nc] = group
             res: set = set()
-            for f in group:
-                res.update(f.res_ids.tolist())
+            for cls in group.values():
+                res.update(self._class_rids[cls])
             self._comp_res[nc] = res
             for rid in res:
                 self._res_comp[rid] = nc
             for f in group:
-                self._flow_comp[f.fid] = nc
+                self._flow_comp[f] = nc
             self._dirty_comps.add(nc)
 
-    # -- internals ---------------------------------------------------------
-    def _remove(self, flow: Flow) -> None:
-        if self.solver == "incremental":
-            self._comp_remove(flow)
-        self._release_slot(flow)
-        for res in flow.resources:
-            res.detach(flow)
-
-    def _advance(self) -> None:
-        """Accrue progress for every active flow up to the current time."""
-        now = self.engine.now
-        elapsed = now - self._last_update
-        if elapsed > 0.0 and self._fid_slot:
-            slots = self._active_slots()
-            progressed = self._rem[slots] - self._rate_vec[slots] * elapsed
-            np.maximum(progressed, 0.0, out=progressed)
-            self._rem[slots] = progressed
-            self._stat_flows_advanced += len(slots)
-        self._last_update = now
-
+    # -- rate solving ------------------------------------------------------
     def _solve_rates(self) -> None:
         """Re-run progressive filling for whatever changed.
 
-        Incremental mode solves only the dirty components; reference
-        mode repartitions and solves every active flow from scratch.
-        Both call the same grouping-independent kernel, so they assign
-        bitwise-identical rates.
+        Incremental mode solves only the dirty components, through the
+        memo; reference mode repartitions every active flow and runs the
+        kernel on each group. Both assign bitwise-identical rates.
         """
-        if self.solver == "reference":
-            if not self._fid_slot:
-                return
-            start = perf_counter()  # det: allow — telemetry, not sim state
-            for group in self._partition(self.active):
-                self._solve_component(group)
-            self._stat_solves += 1
-            self._stat_solve_time += perf_counter() - start  # det: allow
-            return
-        if not self._dirty_comps and not self._split_comps:
+        reference = self.solver == "reference"
+        if not (self._flows if reference else self._dirty_comps or self._split_comps):
             return
         start = perf_counter()  # det: allow — telemetry, not sim state
-        if self._split_comps:
-            for c in sorted(self._split_comps):
-                if c in self._comp_flows:
-                    self._repartition_comp(c)
-            self._split_comps.clear()
-        for c in sorted(self._dirty_comps):
-            flows = self._comp_flows[c]
-            self._solve_component([flows[fid] for fid in sorted(flows)])
-        self._dirty_comps.clear()
+        if reference:
+            flows = {fid: entry[0] for fid, entry in self._flows.items()}
+            for group in self._partition(flows):
+                self._solve_component(group)
+        else:
+            if self._split_comps:
+                for c in sorted(self._split_comps):
+                    if c in self._comp_flows:
+                        self._repartition_comp(c)
+                self._split_comps.clear()
+            for c in sorted(self._dirty_comps):
+                self._solve_component(self._comp_flows[c])
+            self._dirty_comps.clear()
         self._stat_solves += 1
         self._stat_solve_time += perf_counter() - start  # det: allow
 
-    def _solve_component(self, flows: List[Flow]) -> None:
-        """Vectorised progressive filling for one contention component.
+    def _solve_component(self, flows: Dict[int, int]) -> None:
+        """Assign rates to one contention component (``{fid: class}``),
+        from the memo on a hit, from the kernel otherwise."""
+        fids = sorted(flows)
+        classes = [flows[f] for f in fids]
+        memo = self.memo
+        key = hit = None
+        if memo is not None:
+            key = tuple(sorted(classes))
+            hit = memo.get(key)
+        rate = self._rate
+        if hit is None:
+            rates, rounds = self._kernel(classes)
+            stored: Dict[int, float] = {}
+            for f, cls, r in zip(fids, classes, rates.tolist()):
+                rate[f] = r
+                stored[cls] = r
+            if memo is not None and len(memo) < _MEMO_CAP:
+                memo[key] = (stored, rounds)
+        else:
+            stored, rounds = hit
+            for f, cls in zip(fids, classes):
+                rate[f] = stored[cls]
+        n = len(fids)
+        self._stat_rounds += rounds
+        self._stat_components += 1
+        self._stat_flows_solved += n
+        if n > self._stat_max_component:
+            self._stat_max_component = n
+
+    def _kernel(self, classes: List[int]):
+        """Vectorised progressive filling over one row per flow (given by
+        its path class); returns ``(rates, rounds)``.
 
         Each round recomputes every pending resource's *absolute*
         saturation level ``(capacity - fixed_rates) / pending`` instead
         of accumulating headroom decrements. All reductions are exact
-        (min / integer counts / per-resource sums in fid order), so the
-        result is independent of which other components share the call —
-        the property the incremental solver's correctness rests on.
+        (min / integer counts / per-resource sums of equal values), so
+        the result is independent of row order and of which other
+        components share the call — the properties the component tracker
+        and the memo rest on.
         """
-        n = len(flows)
-        if self._caps_dirty:
+        n = len(classes)
+        if self._caps_array.shape[0] != len(self._capacities):
             self._caps_array = np.asarray(self._capacities, dtype=float)
-            self._caps_dirty = False
 
-        id_arrays = [f.res_ids for f in flows]
+        id_arrays = [self._class_ids[c] for c in classes]
         lengths = np.fromiter((len(a) for a in id_arrays), dtype=np.int64, count=n)
         flat = id_arrays[0] if n == 1 else np.concatenate(id_arrays)
         pair_flow = np.repeat(np.arange(n), lengths)
@@ -648,8 +742,9 @@ class FlowNetwork:
         caps_local = self._caps_array[uniq]
         fixed_load = np.zeros(m)  # sum of already-fixed rates per resource
         pending = np.bincount(pair_res, minlength=m)
-        slots = np.fromiter((f._slot for f in flows), dtype=np.int64, count=n)
-        rate_caps = self._cap_vec[slots]
+        rate_caps = np.fromiter(
+            (self._class_cap[c] for c in classes), dtype=float, count=n
+        )
         fixed = np.zeros(n, dtype=bool)
         rates = np.zeros(n, dtype=float)
         pair_live = np.ones(pair_flow.shape[0], dtype=bool)
@@ -699,63 +794,4 @@ class FlowNetwork:
                 )
                 pair_live &= ~dead
 
-        self._rate_vec[slots] = rates
-        self._stat_rounds += rounds
-        self._stat_components += 1
-        self._stat_flows_solved += n
-        if n > self._stat_max_component:
-            self._stat_max_component = n
-
-    def _resolve(self) -> None:
-        """Re-solve rates and reschedule the next completion event."""
-        self._solve_rates()
-        if self._completion_event is not None:
-            self._completion_event.cancel()
-            self._completion_event = None
-        if not self._fid_slot:
-            return
-        slots = self._active_slots()
-        remaining = self._rem[slots]
-        rates = self._rate_vec[slots]
-        etas = np.full(slots.shape[0], np.inf)
-        flowing = rates > 0.0
-        if flowing.any():
-            etas[flowing] = remaining[flowing] / rates[flowing]
-        etas[remaining <= _EPSILON_BYTES] = 0.0
-        next_eta = float(etas.min())
-        if next_eta == float("inf"):
-            raise SimulationError(
-                f"{slots.shape[0]} active flow(s) are stalled at zero rate"
-            )
-        self._completion_event = self.engine.schedule(
-            next_eta, self._on_completion_event
-        )
-
-    def _on_completion_event(self) -> None:
-        self._completion_event = None
-        if self._resolve_event is not None:
-            # The direct resolve below covers any deferred one.
-            self._resolve_event.cancel()
-            self._resolve_event = None
-        self._advance()
-        slots = self._active_slots()
-        done = self._rem[slots] <= _EPSILON_BYTES
-        if not done.any():
-            # Rates changed since the event was scheduled; just re-arm.
-            self._resolve()
-            return
-        finished = sorted(
-            (self._slot_flow[s] for s in slots[done]), key=lambda f: f.fid
-        )
-        for flow in finished:
-            self._remove(flow)
-        self._resolve()
-        for flow in finished:
-            self._finish_flow(flow)
-
-    def _finish_flow(self, flow: Flow) -> None:
-        flow.remaining = 0.0
-        self.completed_count += 1
-        self.total_bytes_transferred += flow.nbytes
-        if flow.on_complete is not None:
-            flow.on_complete(flow)
+        return rates, rounds

@@ -1,9 +1,13 @@
 """Edge-case tests for the flow network: batching, caps, registry reuse."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim import Engine, FlowNetwork, Resource
 
 
@@ -121,3 +125,42 @@ class TestCapsAndMixtures:
         assert f.eta() == float("inf")
         f.remaining = 0.0
         assert f.eta() == 0.0
+
+
+class TestNoProgressWatchdog:
+    def test_sub_resolution_eta_raises_instead_of_livelocking(self):
+        """A flow whose completion is closer than the clock's resolution
+        would re-fire its completion event at the same ``now`` forever."""
+        eng = Engine()
+        net = FlowNetwork(eng)
+        link = Resource("l", 1e12)
+        eng.schedule(1e6, lambda: net.add_flow(1e-5, [link]))
+        with pytest.raises(SimulationError, match="cannot progress") as err:
+            eng.run()
+        assert "#0 (1e-05 B left at 1000000000000.0 B/s)" in str(err.value)
+
+    @pytest.mark.parametrize("engine", ["des", "auto"])
+    def test_terabyte_bcast_raises_on_both_engines(self, engine):
+        """Float dust strands the last flow of a 1e12-byte broadcast at
+        t=141.1s; run in a subprocess so a regression fails, not hangs."""
+        code = (
+            "from repro.core import simulate_bcast\n"
+            "from repro.errors import SimulationError\n"
+            "from repro.machine import hornet\n"
+            "try:\n"
+            "    simulate_bcast(hornet(nodes=1), 4, 10**12, 'scatter_ring_opt')\n"
+            "except SimulationError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        env = dict(
+            os.environ, REPRO_ENGINE=engine, PYTHONPATH=os.pathsep.join(sys.path)
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "raised:" in proc.stdout and "cannot progress" in proc.stdout

@@ -1,22 +1,24 @@
 """Differential and bookkeeping tests for the incremental fluid solver.
 
-The incremental, component-aware solver must be *bitwise* equivalent to
-the from-scratch reference solver (``REPRO_SOLVER=reference``): same
-rates after every change, same completion order, same simulated
-timestamps. The hypothesis test drives randomized add/cancel/complete
-churn through both implementations and compares everything observable;
-the unit tests pin down the component tracking and the O(1)
-slot/removal bookkeeping directly.
+The incremental, component-aware, memoised solver must be *bitwise*
+equivalent to the from-scratch reference solver
+(``FlowNetwork(engine, solver="reference")``): same rates after every
+change, same completion order, same simulated timestamps. The
+hypothesis test drives randomized add/cancel/complete churn through
+both implementations and compares everything observable; the unit
+tests pin down the component tracking and the O(1) removal bookkeeping
+directly.
 """
 
+import functools
 import math
-import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Engine, FlowNetwork, Resource, SolverStats, solver_mode
+from repro.mpi import runtime
+from repro.sim import Engine, FlowNetwork, Resource, SolverStats
 
 CAPACITIES = [100.0, 250.0, 400.0, 150.0, 900.0, 60.0]
 
@@ -85,6 +87,8 @@ def _run_script(script, solver):
         "final_time": eng.now,
         "completed": net.completed_count,
         "bytes": net.total_bytes_transferred,
+        "memo_entries": len(net.memo or {}),
+        "components": net.stats().components_solved,
     }
 
 
@@ -109,14 +113,32 @@ _probe_op = st.tuples(
 )
 
 
+# The same three-flow contention pattern, started three times over: the
+# incremental solver's second and third rounds are answered from its memo.
+_REPEATED_PATTERN = [
+    op
+    for _ in range(3)
+    for op in (
+        ("add", 60.0, 500.0, [0, 1], None),
+        ("add", 0.0, 800.0, [1, 2], None),
+        ("add", 0.0, 300.0, [0], 50.0),
+        ("probe", 0.5),
+    )
+]
+
+
 class TestDifferential:
     """Incremental and reference solvers are observably identical."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.one_of(_add_op, _cancel_op, _probe_op), max_size=24))
+    @example(_REPEATED_PATTERN)
     def test_randomized_churn_is_bitwise_identical(self, script):
         inc = _run_script(script, "incremental")
         ref = _run_script(script, "reference")
+        if script == _REPEATED_PATTERN:
+            # Memo hits happened: fewer kernel runs than component solves.
+            assert inc["memo_entries"] < inc["components"]
         # Same completion order at the same (bitwise) timestamps.
         assert inc["completions"] == ref["completions"]
         # Same rate assignment at every probe point.
@@ -125,44 +147,32 @@ class TestDifferential:
         assert inc["completed"] == ref["completed"]
         assert inc["bytes"] == ref["bytes"]
 
-    def test_bcast_simulation_is_bitwise_identical(self):
+    def test_bcast_simulation_is_bitwise_identical(self, monkeypatch):
         from repro.core import simulate_bcast
         from repro.machine import hornet
 
+        # Force the DES: this differential is about its two solver
+        # modes, not about the replay engine's frontier loop.
+        monkeypatch.setenv("REPRO_ENGINE", "des")
         spec = hornet(nodes=4)
         times = {}
         for mode in ("incremental", "reference"):
-            # Force the DES: this differential is about its two solver
-            # implementations, not the replay engine's data plane.
-            os.environ["REPRO_SOLVER"] = mode
-            os.environ["REPRO_ENGINE"] = "des"
-            try:
-                rec = simulate_bcast(
-                    spec, 8, 65536, algorithm="scatter_ring_opt"
-                )
-            finally:
-                del os.environ["REPRO_SOLVER"]
-                del os.environ["REPRO_ENGINE"]
+            with monkeypatch.context() as patch:
+                if mode == "reference":
+                    # Every DES job builds its network through this name.
+                    reference = functools.partial(FlowNetwork, solver="reference")
+                    patch.setattr(runtime, "FlowNetwork", reference)
+                rec = simulate_bcast(spec, 8, 65536, algorithm="scatter_ring_opt")
             times[mode] = rec.time
             assert rec.solver_mode == mode
         assert times["incremental"] == times["reference"]
 
 
 class TestSolverSelection:
-    def test_env_selects_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "reference")
-        assert solver_mode() == "reference"
-        assert FlowNetwork(Engine()).solver == "reference"
-
-    def test_default_is_incremental(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER", raising=False)
-        assert solver_mode() == "incremental"
+    def test_default_is_incremental(self):
         assert FlowNetwork(Engine()).solver == "incremental"
 
-    def test_unknown_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "magic")
-        with pytest.raises(SimulationError, match="unknown"):
-            solver_mode()
+    def test_unknown_mode_rejected(self):
         with pytest.raises(SimulationError, match="unknown"):
             FlowNetwork(Engine(), solver="magic")
 
@@ -286,11 +296,12 @@ class TestRemovalBookkeeping:
         link = Resource("link", 100.0)
         flow = net.add_flow(500.0, [link])
         fid = flow.fid
-        assert fid in net._fid_slot
+        assert fid in net._flows
         eng.run()
-        assert fid not in net._fid_slot
+        assert fid not in net._flows
         assert net.active_count == 0
-        assert net._free_slots  # slot recycled, not leaked
+        # No per-flow or per-component state leaks past completion.
+        assert not (net._rem or net._rate or net._flow_comp or net._comp_flows)
         assert link.load == 0
         # Detached flow still reports its terminal state.
         assert flow.remaining == 0.0
@@ -302,9 +313,10 @@ class TestRemovalBookkeeping:
         for _ in range(50):
             net.add_flow(10.0, [link])
             eng.run()
-        # Sequential churn keeps reusing the same slot: the pool never
-        # grows beyond the peak concurrency.
-        assert len(net._slot_flow) == 1
+        # Sequential churn keeps reusing the same interned path class,
+        # and per-flow state never outlives its flow.
+        assert len(net._class_rids) == 1
+        assert not net._rem
 
     def test_cancel_is_o1_and_idempotent(self):
         eng = Engine()
@@ -316,7 +328,7 @@ class TestRemovalBookkeeping:
         assert net.active_count == 4
         net.cancel_flow(flows[2])  # second cancel is a silent no-op
         assert net.active_count == 4
-        assert flows[2].fid not in net._fid_slot
+        assert flows[2].fid not in net._flows
         assert link.load == 4
 
     def test_duplicate_resource_multiplicity_tracked(self):
