@@ -15,11 +15,21 @@ Quickstart::
     print(cmp.describe())
 """
 
-from . import analysis, collectives, core, machine, mpi, sim, util
+from . import collectives, core, machine, mpi, sim, util
 from .errors import ReproError
 from .core import compare_bcast, simulate_bcast, validate_bcast
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    # The analysis layer (certificates, model checker, gates) loads on
+    # first use: simulating and sweeping never need it.
+    if name == "analysis":
+        from importlib import import_module
+
+        return import_module(".analysis", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "analysis",

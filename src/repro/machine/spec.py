@@ -11,6 +11,7 @@ All bandwidths are bytes/second, all latencies seconds, all sizes bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from ..errors import MachineError
@@ -85,9 +86,10 @@ class MachineSpec:
     queueing_kappa: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.nodes < 1:
+        # Every check is written so that NaN fails it.
+        if not self.nodes >= 1:
             raise MachineError(f"need at least one node, got {self.nodes}")
-        if self.cores_per_node < 1:
+        if not self.cores_per_node >= 1:
             raise MachineError(
                 f"need at least one core per node, got {self.cores_per_node}"
             )
@@ -101,17 +103,19 @@ class MachineSpec:
             "jitter_sigma",
             "queueing_kappa",
         ):
-            if getattr(self, attr) < 0:
-                raise MachineError(f"{attr} must be >= 0")
+            value = getattr(self, attr)
+            if not 0 <= value < math.inf:
+                raise MachineError(f"{attr} must be finite and >= 0, got {value}")
         for attr in ("cpu_copy_bw", "mem_bw", "nic_bw"):
-            if getattr(self, attr) <= 0:
-                raise MachineError(f"{attr} must be positive")
-        if self.eager_threshold < 0:
+            value = getattr(self, attr)
+            if not value > 0:
+                raise MachineError(f"{attr} must be positive, got {value}")
+        if not self.eager_threshold >= 0:
             raise MachineError("eager_threshold must be >= 0")
         for attr in ("l3_penalty", "mem_penalty"):
             if not 0 < getattr(self, attr) <= 1:
                 raise MachineError(f"{attr} must be in (0, 1]")
-        if self.l3_bytes <= 0 or self.mem_pressure_bytes <= 0:
+        if not (self.l3_bytes > 0 and self.mem_pressure_bytes > 0):
             raise MachineError("cache thresholds must be positive")
 
     # -- derived -----------------------------------------------------------

@@ -81,7 +81,7 @@ class Engine:
     # -- scheduling ------------------------------------------------------
     def schedule(self, delay: float, callback: Callable, *args) -> EventHandle:
         """Run ``callback(*args)`` *delay* seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # NaN fails too
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self._now + delay, callback, *args)
 

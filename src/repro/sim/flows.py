@@ -36,14 +36,17 @@ The network runs twice per message, so it is built for cost per event:
 * component solves are *memoised* by the multiset of path classes they
   contain (below).
 
-The water-filling kernel recomputes each resource's absolute saturation
-level ``(capacity - fixed_rates) / pending`` fresh every round instead
-of accumulating headroom deltas, and all its reductions are exact (min,
-integer counts, equal-value sums). Two properties follow. The kernel's
-floating-point path is *independent of component grouping*: solving a
-disjoint union of components in one call produces bitwise-identical
-rates to solving them separately, so component tracking can merge lazily
-and split opportunistically without ever changing a simulated timestamp.
+The water-filling kernel is scalar Python over the component's resource
+ids, sized for the tens of flows a component holds. It derives each
+resource's absolute saturation level ``(capacity - fixed_rates) /
+pending`` from its current inputs instead of accumulating headroom
+deltas, recomputing it only when a round changed those inputs, and all
+its reductions are exact (min, integer counts, equal-value sums). Two
+properties follow. The kernel's floating-point path is *independent of
+component grouping*: solving a disjoint union of components in one call
+produces bitwise-identical rates to solving them separately, so
+component tracking can merge lazily and split opportunistically without
+ever changing a simulated timestamp.
 And the kernel is a pure function of the multiset of *path classes* in a
 component — the (resource-id tuple, rate cap) equivalence class of each
 flow's path, interned on first sight: remaining bytes never enter it and
@@ -74,8 +77,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
 
 from ..errors import SimulationError
 from .engine import Engine, EventHandle
@@ -164,7 +165,7 @@ class Flow:
         self.fid = fid
         self.nbytes = float(nbytes)
         self.resources = resources
-        self.res_ids = res_ids  # np.ndarray of network-local resource ids
+        self.res_ids = res_ids  # the path class's network-local resource ids
         self.rate_cap = rate_cap
         self.on_complete = on_complete
         self.meta = meta
@@ -238,11 +239,9 @@ class FlowNetwork:
         # cache from the (resource tuple, rate cap) callers pass in.
         self._res_index: Dict[Resource, int] = {}
         self._capacities: List[float] = []
-        self._caps_array = np.empty(0)
         self._path_class: Dict[tuple, int] = {}
         self._class_index: Dict[tuple, int] = {}
-        self._class_rids: List[List[int]] = []
-        self._class_ids: List[np.ndarray] = []
+        self._class_rids: List[Tuple[int, ...]] = []
         self._class_cap: List[float] = []  # inf when uncapped
         # Active flows, keyed by fid (insertion order is fid order):
         # remaining bytes, current rate, and (class, callback, arg, Flow
@@ -292,9 +291,10 @@ class FlowNetwork:
         Zero-byte transfers complete via a zero-delay event so callers
         always observe completion asynchronously (no re-entrancy).
         """
-        if nbytes < 0:
+        # Written so that NaN fails each check.
+        if not nbytes >= 0:
             raise SimulationError(f"flow cannot carry {nbytes} bytes")
-        if rate_cap is not None and rate_cap <= 0:
+        if rate_cap is not None and not rate_cap > 0:
             raise SimulationError(f"flow rate cap must be positive, got {rate_cap}")
         path = tuple(resources)
         cls = self.intern(path, rate_cap)
@@ -302,7 +302,7 @@ class FlowNetwork:
             self._next_fid,
             nbytes,
             path,
-            self._class_ids[cls],
+            self._class_rids[cls],
             rate_cap,
             on_complete,
             meta,
@@ -367,8 +367,7 @@ class FlowNetwork:
             cls = self._class_index.get(ckey)
             if cls is None:
                 cls = self._class_index[ckey] = len(self._class_rids)
-                self._class_rids.append(rids)
-                self._class_ids.append(np.asarray(rids, dtype=np.int64))
+                self._class_rids.append(ckey[0])
                 self._class_cap.append(ckey[1])
             self._path_class[key] = cls
         return cls
@@ -700,7 +699,7 @@ class FlowNetwork:
         if hit is None:
             rates, rounds = self._kernel(classes)
             stored: Dict[int, float] = {}
-            for f, cls, r in zip(fids, classes, rates.tolist()):
+            for f, cls, r in zip(fids, classes, rates):
                 rate[f] = r
                 stored[cls] = r
             if memo is not None and len(memo) < _MEMO_CAP:
@@ -716,82 +715,98 @@ class FlowNetwork:
         if n > self._stat_max_component:
             self._stat_max_component = n
 
-    def _kernel(self, classes: List[int]):
-        """Vectorised progressive filling over one row per flow (given by
-        its path class); returns ``(rates, rounds)``.
+    def _kernel(self, classes: List[int]) -> Tuple[List[float], int]:
+        """Progressive filling over one row per flow (given by its path
+        class); returns ``(rates, rounds)``.
 
-        Each round recomputes every pending resource's *absolute*
-        saturation level ``(capacity - fixed_rates) / pending`` instead
-        of accumulating headroom decrements. All reductions are exact
-        (min / integer counts / per-resource sums of equal values), so
-        the result is independent of row order and of which other
-        components share the call — the properties the component tracker
-        and the memo rest on.
+        Scalar arithmetic over dicts keyed by the component's resource
+        ids, sized for the components the tracker hands it (tens of
+        flows, a few rounds). Each resource's *absolute* saturation level
+        ``(capacity - fixed_load) / pending`` is computed once, then
+        recomputed only for the resources the last round touched — an
+        untouched resource's inputs are unchanged, so its level is
+        bitwise what a fresh computation would give — and dropped once no
+        pending flow crosses it. A round fixes every flow crossing a
+        resource at the minimum level, plus every flow whose rate cap
+        binds, and adds their rates to ``fixed_load`` as one
+        per-resource sum of equal values started from 0.0 (a resource
+        listed twice on a path counts twice). All reductions are exact
+        (min / integer counts / equal-value sums), so the result is
+        independent of row order and of which other components share the
+        call — the properties the component tracker and the memo rest on.
         """
         n = len(classes)
-        if self._caps_array.shape[0] != len(self._capacities):
-            self._caps_array = np.asarray(self._capacities, dtype=float)
-
-        id_arrays = [self._class_ids[c] for c in classes]
-        lengths = np.fromiter((len(a) for a in id_arrays), dtype=np.int64, count=n)
-        flat = id_arrays[0] if n == 1 else np.concatenate(id_arrays)
-        pair_flow = np.repeat(np.arange(n), lengths)
-        # Compact the component's resources to local ids 0..m-1.
-        uniq, pair_res = np.unique(flat, return_inverse=True)
-        m = int(uniq.shape[0])
-        caps_local = self._caps_array[uniq]
-        fixed_load = np.zeros(m)  # sum of already-fixed rates per resource
-        pending = np.bincount(pair_res, minlength=m)
-        rate_caps = np.fromiter(
-            (self._class_cap[c] for c in classes), dtype=float, count=n
-        )
-        fixed = np.zeros(n, dtype=bool)
-        rates = np.zeros(n, dtype=float)
-        pair_live = np.ones(pair_flow.shape[0], dtype=bool)
+        capacities = self._capacities
+        paths = [self._class_rids[cls] for cls in classes]
+        # Each resource's users, a flow repeated once per path listing.
+        users: Dict[int, List[int]] = {}
+        for i, path in enumerate(paths):
+            for rid in path:
+                u = users.get(rid)
+                if u is None:
+                    users[rid] = [i]
+                else:
+                    u.append(i)
+        pending = {rid: len(u) for rid, u in users.items()}
+        fixed_load = dict.fromkeys(users, 0.0)
+        levels = {rid: capacities[rid] / p for rid, p in pending.items()}
+        # Capped flows by ascending cap: the unfixed ones with a binding
+        # cap are always a prefix from ``k``.
+        caps = [self._class_cap[cls] for cls in classes]
+        capped = sorted([i for i in range(n) if caps[i] != _INF], key=caps.__getitem__)
+        ncapped = len(capped)
+        k = 0
+        fixed = [False] * n
+        rates = [0.0] * n
+        left = n
         rounds = 0
 
-        while not fixed.all():
+        while left:
             rounds += 1
-            pending_mask = pending > 0
-            if pending_mask.any():
-                levels = np.where(
-                    pending_mask,
-                    (caps_local - fixed_load) / np.maximum(pending, 1),
-                    np.inf,
-                )
-                level_min = float(levels.min())
-                if level_min < 0.0:
-                    level_min = 0.0  # float dust: resource already over-filled
-            else:
-                levels = None
-                level_min = np.inf
-            cap_min = float(rate_caps[~fixed].min())
+            level_min = min(levels.values()) if levels else _INF
+            if level_min < 0.0:
+                level_min = 0.0  # float dust: resource already over-filled
+            while k < ncapped and fixed[capped[k]]:
+                k += 1
+            cap_min = caps[capped[k]] if k < ncapped else _INF
             level = level_min if level_min < cap_min else cap_min
-            if not np.isfinite(level):
+            if not level < _INF:
                 raise SimulationError("flow without binding constraint")
 
-            newly = np.zeros(n, dtype=bool)
-            if levels is not None and level_min <= level:
-                saturated = pending_mask & (levels <= level)
-                if saturated.any():
-                    hit = saturated[pair_res] & pair_live
-                    if hit.any():
-                        newly[pair_flow[hit]] = True
-            newly |= rate_caps <= level
-            newly &= ~fixed
-            if not newly.any():
+            newly: List[int] = []
+            if level_min <= level:
+                # Saturation is tested on the unclamped levels.
+                for rid, lv in levels.items():
+                    if lv <= level:
+                        for i in users[rid]:
+                            if not fixed[i]:
+                                fixed[i] = True
+                                newly.append(i)
+            while k < ncapped and caps[capped[k]] <= level:
+                i = capped[k]
+                if not fixed[i]:
+                    fixed[i] = True
+                    newly.append(i)
+                k += 1
+            if not newly:
                 # Numerical corner: nothing bound this round. Fix all
                 # remaining flows at the current level to terminate.
-                newly = ~fixed
-            rates[newly] = level
-            fixed |= newly
-            dead = newly[pair_flow] & pair_live
-            if dead.any():
-                dead_res = pair_res[dead]
-                pending -= np.bincount(dead_res, minlength=m)
-                fixed_load += np.bincount(
-                    dead_res, weights=np.full(dead_res.shape[0], level), minlength=m
-                )
-                pair_live &= ~dead
+                newly = [i for i in range(n) if not fixed[i]]
+                for i in newly:
+                    fixed[i] = True
+            left -= len(newly)
+            added: Dict[int, float] = {}
+            for i in newly:
+                rates[i] = level
+                for rid in paths[i]:
+                    added[rid] = added.get(rid, 0.0) + level
+                    pending[rid] -= 1
+            for rid, load in added.items():
+                p = pending[rid]
+                if p:
+                    fixed_load[rid] = total = fixed_load[rid] + load
+                    levels[rid] = (capacities[rid] - total) / p
+                else:
+                    del levels[rid]
 
         return rates, rounds

@@ -20,7 +20,7 @@ class Resource:
     __slots__ = ("name", "capacity", "kind", "_flows", "_load")
 
     def __init__(self, name: str, capacity: float, kind: str = "generic"):
-        if capacity <= 0:
+        if not capacity > 0:  # NaN fails too
             raise SimulationError(
                 f"resource {name!r} needs positive capacity, got {capacity}"
             )

@@ -1,5 +1,7 @@
 """Tests for MachineSpec validation and the presets."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import MachineError
@@ -35,6 +37,22 @@ class TestValidation:
     def test_rejects_bad_field(self, field, value):
         with pytest.raises(MachineError):
             MachineSpec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field",
+        [f.name for f in dataclasses.fields(MachineSpec) if f.type == "float"]
+        + ["nodes", "cores_per_node", "eager_threshold", "l3_bytes"],
+    )
+    def test_rejects_nan_field(self, field):
+        """NaN compares false with everything, so a check written as
+        ``x < 0`` would let it through into the simulation."""
+        with pytest.raises(MachineError):
+            MachineSpec(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field", ["alpha_intra", "send_overhead", "hop_latency"])
+    def test_rejects_infinite_latency(self, field):
+        with pytest.raises(MachineError, match="finite"):
+            MachineSpec(**{field: float("inf")})
 
     def test_with_replaces_field(self):
         spec = MachineSpec(nodes=4)

@@ -67,6 +67,13 @@ class TestScheduling:
         assert final == 2.0
 
 
+class TestRejectsBadDelays:
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")])
+    def test_negative_or_nan_delay(self, delay):
+        with pytest.raises(SimulationError, match="into the past"):
+            Engine().schedule(delay, lambda: None)
+
+
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
         eng = Engine()

@@ -164,3 +164,42 @@ class TestNoProgressWatchdog:
         )
         assert proc.returncode == 0, proc.stderr
         assert "raised:" in proc.stdout and "cannot progress" in proc.stdout
+
+
+class TestNaNInputs:
+    def test_nan_capacity_rejected(self):
+        with pytest.raises(SimulationError, match="positive capacity"):
+            Resource("x", float("nan"))
+
+    @pytest.mark.parametrize("nbytes, cap", [(float("nan"), None), (1.0, float("nan"))])
+    def test_nan_bytes_or_rate_cap_rejected(self, nbytes, cap):
+        net = FlowNetwork(Engine())
+        with pytest.raises(SimulationError):
+            net.add_flow(nbytes, [Resource("l", 1.0)], rate_cap=cap)
+
+    @pytest.mark.parametrize("engine", ["des", "auto"])
+    def test_nan_latency_bcast_raises_on_both_engines(self, engine):
+        """A NaN latency used to reach the event heap and hang both
+        engines; run in a subprocess so a regression fails, not hangs."""
+        code = (
+            "from repro.core import simulate_bcast\n"
+            "from repro.errors import MachineError\n"
+            "from repro.machine import hornet\n"
+            "try:\n"
+            "    machine = hornet(nodes=1, alpha_intra=float('nan'))\n"
+            "    simulate_bcast(machine, 4, 1 << 20, 'scatter_ring_opt')\n"
+            "except MachineError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        env = dict(
+            os.environ, REPRO_ENGINE=engine, PYTHONPATH=os.pathsep.join(sys.path)
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "raised: alpha_intra must be finite" in proc.stdout
