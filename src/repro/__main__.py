@@ -51,7 +51,7 @@ Every analysis subcommand (``verify``/``cost``/``chaos``/``replay``/
 checks passed, **1** at least one violation/failed obligation (for the
 differential gates, only under ``--strict``), **2** configuration or
 usage error (unknown collective, malformed ``--nranks``/``--nbytes``,
-missing file). Set ``REPRO_GATE_TIMES=path.json`` to append each
+a ``--root`` outside ``[0, P)``, an invalid ``--nodes``, missing file). Set ``REPRO_GATE_TIMES=path.json`` to append each
 subcommand's wall time to a ``BENCH_``-style JSON that ``bench-report``
 renders alongside the performance trajectories.
 
@@ -62,8 +62,11 @@ With a ``repro serve`` instance running, ``--serve`` (or
 ``REPRO_SERVE=auto``) submits the points to its warm pool instead;
 ``--serve HOST:PORT`` names a server explicitly and fails if it is
 unreachable, while auto-discovery falls back to the in-process path.
-The verify/cost/chaos/replay grid gates take the same flag and run
-server-side when it is given.
+The verify/cost/chaos/replay gates take the same flag: they then run
+server-side and print, record (``--artifact``) and exit exactly as a
+local run does. Every gate subcommand is one entry of
+:mod:`repro.analysis.gates`, the table ``repro audit`` and ``repro
+serve`` run gates through too.
 
 Examples::
 
@@ -135,20 +138,80 @@ def _parse_ranks(text: str) -> list:
     return ranks
 
 
-def _add_machine_args(p: argparse.ArgumentParser) -> None:
+def _add_machine_args(
+    p: argparse.ArgumentParser, default="hornet", placement=True, note=None
+) -> None:
     p.add_argument(
         "--machine",
         choices=sorted(_PRESETS),
-        default="hornet",
-        help="machine preset (default: hornet)",
+        default=default,
+        help=f"machine preset (default: {note or default})",
     )
     p.add_argument("--nodes", type=int, default=0, help="override node count")
+    if placement:
+        p.add_argument(
+            "--placement",
+            choices=["blocked", "round_robin"],
+            default="blocked",
+            help="rank placement policy",
+        )
+
+
+def _add_gate_parser(
+    sub,
+    name: str,
+    help: str,
+    *,
+    nbytes: str,
+    strict: str,
+    collective: str = "bcast_opt",
+    nranks=None,
+    root: bool = True,
+    grid=None,
+    serve: bool = True,
+) -> argparse.ArgumentParser:
+    """A gate subcommand with the flags every gate shares (run by ``cmd_gate``).
+
+    ``nranks`` is a default list string (``"8"``) for gates taking
+    comma-separated process counts, an int for single-P gates, ``None``
+    for none; ``grid`` is the ``--grid`` help, ``None`` for no ``--grid``.
+    """
+    p = sub.add_parser(name, help=help)
     p.add_argument(
-        "--placement",
-        choices=["blocked", "round_robin"],
-        default="blocked",
-        help="rank placement policy",
+        "--collective",
+        default=collective,
+        help=(
+            "registry name, or 'all' for every one"
+            if collective == "all"
+            else "registry name for single-point mode"
+        )
+        + f" (default: {collective})",
     )
+    if nranks is not None:
+        p.add_argument(
+            "--nranks",
+            type=int if isinstance(nranks, int) else None,
+            default=nranks,
+            help=(
+                "process count" if isinstance(nranks, int)
+                else "comma-separated process counts"
+            )
+            + f" (default: {nranks})",
+        )
+    p.add_argument("--nbytes", default=nbytes, help=f"message size (default: {nbytes})")
+    if root:
+        p.add_argument("--root", type=int, default=0, help="root rank (default: 0)")
+    if grid is not None:
+        p.add_argument("--grid", action="store_true", help=grid)
+    p.add_argument("--strict", action="store_true", help=strict)
+    p.add_argument(
+        "--json", action="store_true", help="machine-readable JSON output"
+    )
+    if serve:
+        _add_serve_arg(p)
+    _add_artifact_arg(p)
+    p.set_defaults(func=cmd_gate)
+    return p
 
 
 def _solver_stats_table(records) -> Table:
@@ -508,35 +571,24 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _gate_via_service(args, gate: str, params: dict, spec=None, strict=None):
-    """Run a grid gate on the simulation service when ``--serve`` asks.
-
-    Returns the exit code when the gate ran server-side, ``None`` when
-    the request should proceed locally (no ``--serve``, or
-    auto-discovery found no server).
-    """
+def _gate_via_service(args, name: str, config: dict):
+    """The server's ``{ok, text, report}`` for a gate when ``--serve``
+    finds a server; ``None`` to run in-process (no ``--serve``, or
+    auto-discovery found nothing)."""
     if getattr(args, "serve", None) is None:
         return None
-    import json as _json
-
-    from .service import protocol as _sproto
+    from .errors import ConfigurationError, ServiceError
     from .service.client import connect_or_none
 
     client = connect_or_none(args.serve)
     if client is None:
         return None
-    if spec is not None:
-        params = {**params, "spec": _sproto.encode_spec(spec)}
     with client:
-        reply = client.gate(gate, params)
-    if getattr(args, "json", False):
-        print(_json.dumps(reply.get("report"), indent=2))
-    else:
-        print(reply.get("text", ""))
-    ok = bool(reply.get("ok"))
-    if strict is None:
-        strict = True
-    return (1 if not ok else 0) if strict else 0
+        reply = client.gate(name, config, strict=args.strict)
+    if reply.get("report") is None:  # the gate raised on the server
+        error = ConfigurationError if reply.get("usage") else ServiceError
+        raise error(reply.get("text", f"gate {name!r} failed on the server"))
+    return reply
 
 
 def cmd_traffic(args) -> int:
@@ -593,472 +645,111 @@ def cmd_validate(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_verify(args) -> int:
-    import json as _json
-
-    from .analysis.verify import verifiable_collectives, verify_collective
+def _gate_config(args):
+    """The gate-table entry and config that a gate subcommand's flags ask for."""
     from .errors import ConfigurationError
     from .util import parse_size
 
-    nbytes = parse_size(args.nbytes)
-    ranks = _parse_ranks(args.nranks)
-    if args.collective == "all" and not args.mc:
-        # Route the whole-registry grid to a simulation server when asked.
-        # The cost-model consistency pass always runs locally afterwards
-        # via the normal path, so a routed verify covers schedules only.
-        # (--mc always runs locally: the service protocol predates it.)
-        code = _gate_via_service(
-            args,
-            "verify",
-            {
-                "ranks": ranks,
-                "nbytes": nbytes,
-                "root": args.root,
-                "strict": args.strict,
-                "rendezvous": not args.no_rendezvous,
-            },
-        )
-        if code is not None:
-            return code
-    reports = []
-    for nranks in ranks:
-        if args.collective == "all":
-            names = verifiable_collectives(nranks)
-        else:
-            names = [args.collective]
-        for name in names:
-            try:
-                reports.append(
-                    verify_collective(
-                        name,
-                        nranks,
-                        nbytes=nbytes,
-                        root=args.root,
-                        rendezvous=not args.no_rendezvous,
-                        modelcheck=args.mc,
-                        mc_max_states=args.mc_max_states,
-                    )
-                )
-            except ConfigurationError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-    failed = sum(
-        0 if (r.ok_strict() if args.strict else r.ok) else 1 for r in reports
-    )
-    cost_failures = []
-    if not args.no_cost:
-        # Extra pass: the static cost model must reproduce the verifier's
-        # transfer counts from its own independent schedule extraction.
-        from .analysis.costmodel import analyze_collective
-        from .machine import ideal as _ideal
-
-        for r in reports:
-            try:
-                cost = analyze_collective(
-                    r.collective, r.nranks, r.nbytes, root=r.root, spec=_ideal()
-                )
-            except Exception as exc:  # noqa: BLE001 - report, don't crash
-                cost_failures.append(
-                    f"{r.collective} P={r.nranks}: cost model raised "
-                    f"{type(exc).__name__}: {exc}"
-                )
-                continue
-            if cost.transfers != r.transfers:
-                cost_failures.append(
-                    f"{r.collective} P={r.nranks}: cost model counted "
-                    f"{cost.transfers} transfer(s), verifier {r.transfers}"
-                )
-            elif cost.transfers > 0 and cost.t_bound <= 0:
-                cost_failures.append(
-                    f"{r.collective} P={r.nranks}: {cost.transfers} "
-                    f"transfer(s) but a zero time bound"
-                )
-    if not args.mc:
-        # Freeze the run for `repro audit` (--mc reports carry extra
-        # model-checker state the audit runner does not reproduce).
-        _persist_artifact(
-            args,
-            "verify",
-            {
-                "collective": args.collective,
-                "ranks": ranks,
-                "nbytes": nbytes,
-                "root": args.root,
-                "rendezvous": not args.no_rendezvous,
-            },
-            [r.to_dict() for r in reports],
-        )
-    if args.json:
-        print(_json.dumps([r.to_dict() for r in reports], indent=2))
-        for line in cost_failures:
-            print(f"cost pass: {line}", file=sys.stderr)
-        return 1 if failed or cost_failures else 0
-    table = Table(
-        ["collective", "P", "transfers", "redundant", "expected", "hazards",
-         "rendezvous", "verdict"],
-        title=f"static schedule verification (nbytes={nbytes}, root={args.root})",
-    )
-    for r in reports:
-        ok = r.ok_strict() if args.strict else r.ok
-        table.add_row(
-            r.collective,
-            r.nranks,
-            r.transfers,
-            r.redundant_count if r.tracked else "-",
-            r.expected_redundant if r.expected_redundant is not None else "-",
-            len(r.hazards),
-            "-" if r.rendezvous is None
-            else ("DEADLOCK" if r.rendezvous.deadlocked else "safe"),
-            "OK" if ok else "FAIL",
-        )
-    print(table)
-    for r in reports:
-        ok = r.ok_strict() if args.strict else r.ok
-        if not ok:
-            print()
-            print(r.describe())
-    if not args.no_cost:
-        if cost_failures:
-            print("\ncost-model consistency pass:")
-            for line in cost_failures:
-                print(f"  FAIL {line}")
-        else:
-            print(f"\ncost-model consistency pass: {len(reports)} report(s) OK")
-    print(f"\n{len(reports) - failed}/{len(reports)} schedule(s) verified")
-    return 1 if failed or cost_failures else 0
-
-
-def cmd_mc(args) -> int:
-    import json as _json
-
-    from .analysis.modelcheck import check_collective, mc_grid
-    from .errors import ConfigurationError
-    from .sim.faults import FaultPlan
-    from .util import parse_size
-
-    nbytes = parse_size(args.nbytes)
-    if args.grid:
-        report = mc_grid(
-            nbytes=nbytes, max_states=args.max_states, seed=args.seed
-        )
-        _persist_artifact(
-            args,
-            "mc",
-            {
-                "nbytes": nbytes,
-                "max_states": args.max_states,
-                "seed": args.seed,
-            },
-            report.to_dict(),
-        )
-        if args.json:
-            print(_json.dumps(report.to_dict(), indent=2))
-        else:
-            table = Table(
-                ["collective", "P", "plan", "mode", "states", "execs",
-                 "terminals", "status"],
-                title=(
-                    f"match-order model checking (nbytes={nbytes}, "
-                    f"max_states={args.max_states}, seed={args.seed})"
-                ),
-            )
-            for c in report.checks:
-                table.add_row(
-                    c.collective, c.nranks, c.plan, c.mode, c.states,
-                    c.executions, c.terminals, c.status.upper(),
-                )
-            print(table)
-            for c in report.failures:
-                if c.status == "fail":
-                    print(
-                        f"  FAIL {c.collective} P={c.nranks} "
-                        f"plan={c.plan}: {c.detail}"
-                    )
-            print(report.describe().splitlines()[-1])
-        failed = any(c.status == "fail" for c in report.checks)
-        incomplete = any(c.status == "incomplete" for c in report.checks)
-        return 1 if failed or (args.strict and incomplete) else 0
-    faults = None
-    if args.drop_p or args.dup_p or args.corrupt_p:
-        faults = FaultPlan.uniform(
-            seed=args.seed,
-            drop_p=args.drop_p,
-            dup_p=args.dup_p,
-            corrupt_p=args.corrupt_p,
-            name="cli",
-        )
-    reports = []
-    for nranks in _parse_ranks(args.nranks):
+    cmd, nbytes = args.command, parse_size(args.nbytes)
+    if cmd == "verify":
+        config = {
+            "collective": args.collective,
+            "ranks": _parse_ranks(args.nranks),
+            "nbytes": nbytes,
+            "root": args.root,
+            "rendezvous": not args.no_rendezvous,
+        }
+        if args.mc:
+            return "verify.mc", {**config, "mc_max_states": args.mc_max_states}
+        return "verify", config
+    if cmd == "mc":
+        config = {"nbytes": nbytes, "max_states": args.max_states, "seed": args.seed}
+        if args.grid:
+            return "mc", config
+        return "mc.point", {
+            **config,
+            "collective": args.collective,
+            "ranks": _parse_ranks(args.nranks),
+            "root": args.root,
+            "mode": "naive" if args.naive else "dpor",
+            "drop_p": args.drop_p,
+            "dup_p": args.dup_p,
+            "corrupt_p": args.corrupt_p,
+            "max_attempts": args.max_attempts,
+        }
+    if cmd == "prove":
+        lo, _, hi = args.xval.partition(":")
         try:
-            reports.append(
-                check_collective(
-                    args.collective,
-                    nranks,
-                    nbytes=nbytes,
-                    root=args.root,
-                    mode="naive" if args.naive else "dpor",
-                    max_states=args.max_states,
-                    faults=faults,
-                    max_attempts=args.max_attempts,
-                )
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.json:
-        print(_json.dumps([r.to_dict() for r in reports], indent=2))
-    else:
-        for r in reports:
-            print(r.describe())
-    failed = any(not r.ok for r in reports)
-    incomplete = any(not r.complete for r in reports)
-    return 1 if failed or (args.strict and incomplete) else 0
+            xval = {"xval_lo": int(lo), "xval_hi": int(hi)}
+        except ValueError:
+            raise ConfigurationError(
+                f"--xval expects LO:HI, got {args.xval!r}"
+            ) from None
+        config = {**xval, "nbytes": nbytes, "skip_crossval": args.no_crossval}
+        if args.all or args.collective == "all":
+            return "prove", config
+        return "prove.point", {**config, "collective": args.collective}
 
+    from .service.protocol import encode_spec
 
-def cmd_cost(args) -> int:
-    import json as _json
-
-    from .analysis.costmodel import analyze_collective, differential_gate
-    from .analysis.verify import verifiable_collectives
-    from .errors import ConfigurationError
-    from .util import parse_size
-
-    # The gate's band guarantees are calibrated against the contention-free
-    # ideal preset (the spec the bound provably tracks); the per-collective
-    # table defaults to hornet like every other simulation command.
-    if args.machine is None:
+    if args.machine is None:  # cost: the gate's bands are calibrated on ideal
         args.machine = "ideal" if args.grid else "hornet"
-    spec = _spec(args)
+    spec = encode_spec(_spec(args))
+    if cmd == "cost" and args.grid:
+        return "cost", {"spec": spec, "placement": args.placement, "band": args.band}
+    if cmd == "cost":
+        return "cost.point", {
+            "spec": spec,
+            "placement": args.placement,
+            "collective": args.collective,
+            "nranks": args.nranks,
+            "nbytes": nbytes,
+            "root": args.root,
+        }
+    cells = {} if args.grid else {
+        "collectives": [args.collective], "ranks": [args.nranks]
+    }
+    if cmd == "chaos":
+        return "chaos", {"spec": spec, "seed": args.seed, "nbytes": nbytes, **cells}
     if args.grid:
-        code = _gate_via_service(
-            args,
-            "cost",
-            {"placement": args.placement, "band": args.band},
-            spec=spec,
-            strict=args.strict,
-        )
-        if code is not None:
-            return code
-        report = differential_gate(
-            spec=spec,
-            placement=args.placement,
-            band=args.band,
-            progress=None if args.json else print,
-        )
-        from .service import protocol as _sproto
-
-        _persist_artifact(
-            args,
-            "cost",
-            {
-                "spec": _sproto.encode_spec(spec),
-                "placement": args.placement,
-                "band": args.band,
-            },
-            report.to_dict(),
-        )
-        if args.json:
-            print(_json.dumps(report.to_dict(), indent=2))
-        else:
-            print(report.describe())
-        return (1 if not report.ok else 0) if args.strict else 0
-
-    nbytes = parse_size(args.nbytes)
-    if args.collective == "all":
-        names = verifiable_collectives(args.nranks)
-    else:
-        names = [args.collective]
-    reports = []
-    for name in names:
-        try:
-            reports.append(
-                analyze_collective(
-                    name,
-                    args.nranks,
-                    nbytes,
-                    root=args.root,
-                    spec=spec,
-                    placement=args.placement,
-                )
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.json:
-        print(_json.dumps([r.to_dict() for r in reports], indent=2))
-        return 0
-    table = Table(
-        ["collective", "transfers", "bytes", "rounds", "t_chain us",
-         "t_link us", "t_bound us", "busiest link"],
-        formats=[None, None, None, None, ".2f", ".2f", ".2f", None],
-        title=(
-            f"static cost model: P={args.nranks}, nbytes={nbytes}, "
-            f"root={args.root} on {spec.name} ({args.placement})"
-        ),
-    )
-    for r in reports:
-        busiest = r.busiest_link
-        table.add_row(
-            r.collective,
-            r.transfers,
-            r.total_bytes,
-            r.rounds,
-            r.t_chain * 1e6,
-            r.t_link * 1e6,
-            r.t_bound * 1e6,
-            busiest.name if busiest is not None else "-",
-        )
-    print(table)
-    return 0
+        return "replay", {"spec": spec}
+    return "replay.point", {"spec": spec, **cells, "sizes": [nbytes]}
 
 
-def cmd_chaos(args) -> int:
+def cmd_gate(args) -> int:
+    """``verify``/``cost``/``chaos``/``replay``/``mc``/``prove``.
+
+    Flags become a gate-table config, which runs on a simulation server
+    when ``--serve`` finds one and in-process otherwise. Both paths then
+    record the same artifact, print the same report and exit 0/1 on the
+    gate's verdict (usage errors exit 2 in :func:`main`).
+    """
     import json as _json
 
-    from .analysis.chaos import DEFAULT_RANKS, chaos_gate
-    from .analysis.verify import REGISTRY
-    from .util import parse_size
+    from .analysis import gates
 
-    # Like ``cost --grid``, the gate's reference-equality guarantees are
-    # calibrated against the contention-free ideal preset.
-    if args.machine is None:
-        args.machine = "ideal"
-    spec = _spec(args)
-    if args.grid:
-        code = _gate_via_service(
-            args,
-            "chaos",
-            {"seed": args.seed, "nbytes": parse_size(args.nbytes)},
-            spec=spec,
-            strict=args.strict,
+    name, config = _gate_config(args)
+    config = gates.configure(name, config)
+    result = _gate_via_service(args, name, config) or gates.evaluate(
+        name, config, args.strict
+    )
+    if gates.recorded(name):
+        _persist_artifact(args, name, config, result["report"])
+    text, failures = result["text"], []
+    if args.command == "verify" and not args.no_cost:
+        failures = gates.cost_pass(result["report"])
+        text += "\n\ncost-model consistency pass:" + (
+            "".join(f"\n  FAIL {line}" for line in failures)
+            if failures
+            else f" {len(result['report'])} report(s) OK"
         )
-        if code is not None:
-            return code
-        collectives = None
-        ranks = DEFAULT_RANKS
-    else:
-        if args.collective not in REGISTRY:
-            print(
-                f"error: unknown collective {args.collective!r}; "
-                f"known: {sorted(REGISTRY)}",
-                file=sys.stderr,
-            )
-            return 2
-        collectives = [args.collective]
-        ranks = [args.nranks]
-    report = chaos_gate(
-        seed=args.seed,
-        spec=spec,
-        collectives=collectives,
-        ranks=ranks,
-        nbytes=parse_size(args.nbytes),
-        progress=None,
-    )
-    from .service import protocol as _sproto
-
-    _persist_artifact(
-        args,
-        "chaos",
-        {
-            "spec": _sproto.encode_spec(spec),
-            "seed": args.seed,
-            "collectives": collectives,
-            "ranks": list(ranks),
-            "nbytes": parse_size(args.nbytes),
-        },
-        report.to_dict(),
-    )
     if args.json:
-        print(_json.dumps(report.to_dict(), indent=2))
-        return (1 if not report.ok else 0) if args.strict else 0
-    table = Table(
-        ["collective", "P", "plan", "status", "drops", "retrans",
-         "timeouts", "ACKs"],
-        title=(
-            f"chaos differential gate: seed={report.seed}, "
-            f"nbytes={report.nbytes} on {report.machine}"
-        ),
-    )
-    for c in report.checks:
-        table.add_row(
-            c.collective, c.nranks, c.plan, c.status.upper(),
-            c.drops, c.retrans, c.timeouts, c.acks,
-        )
-    print(table)
-    for c in report.failures:
-        print(f"  FAIL {c.collective} P={c.nranks} plan={c.plan}: {c.detail}")
-    print(report.describe().splitlines()[-1])
-    return (1 if not report.ok else 0) if args.strict else 0
-
-
-def cmd_replay(args) -> int:
-    import json as _json
-
-    from .analysis.replaygate import (
-        DEFAULT_RANKS,
-        DEFAULT_SIZES,
-        replay_gate,
-        run_replay_point,
-    )
-    from .analysis.verify import REGISTRY
-    from .util import parse_size
-
-    spec = _spec(args)
-    if args.grid:
-        code = _gate_via_service(args, "replay", {}, spec=spec, strict=args.strict)
-        if code is not None:
-            return code
-        report = replay_gate(
-            spec=spec, ranks=DEFAULT_RANKS, sizes=DEFAULT_SIZES, progress=None
-        )
-        from .service import protocol as _sproto
-
-        _persist_artifact(
-            args,
-            "replay",
-            {
-                "spec": _sproto.encode_spec(spec),
-                "ranks": list(DEFAULT_RANKS),
-                "sizes": list(DEFAULT_SIZES),
-            },
-            report.to_dict(),
-        )
+        print(_json.dumps(result["report"], indent=2))
+        for line in failures:
+            print(f"cost pass: {line}", file=sys.stderr)
     else:
-        if args.collective not in REGISTRY:
-            print(
-                f"error: unknown collective {args.collective!r}; "
-                f"known: {sorted(REGISTRY)}",
-                file=sys.stderr,
-            )
-            return 2
-        if not REGISTRY[args.collective].supports(args.nranks):
-            print(
-                f"error: {args.collective!r} does not support P={args.nranks}",
-                file=sys.stderr,
-            )
-            return 2
-        from .analysis.replaygate import ReplayReport
-
-        check = run_replay_point(
-            args.collective, args.nranks, parse_size(args.nbytes), spec=spec
-        )
-        report = ReplayReport(checks=(check,), machine=spec.name)
-    if args.json:
-        print(_json.dumps(report.to_dict(), indent=2))
-        return (1 if not report.ok else 0) if args.strict else 0
-    table = Table(
-        ["collective", "P", "nbytes", "sends", "status"],
-        title=f"replay differential gate (bitwise DES equality) on {report.machine}",
-    )
-    for c in report.checks:
-        table.add_row(c.collective, c.nranks, c.nbytes, c.sends, c.status.upper())
-    print(table)
-    for c in report.failures:
-        print(f"  FAIL {c.collective} P={c.nranks} nbytes={c.nbytes}: {c.detail}")
-    print(report.describe().splitlines()[-1])
-    return (1 if not report.ok else 0) if args.strict else 0
-
-
+        print(text)
+    return 0 if result["ok"] and not failures else 1
 def cmd_audit(args) -> int:
     import json as _json
 
@@ -1185,8 +876,8 @@ def cmd_bench_report(args) -> int:
 
 def cmd_trace(args) -> int:
     from .analysis import critical_path, phase_summary, write_chrome_trace
+    from .analysis.gates import check_config
     from .analysis.verify import REGISTRY
-    from .errors import ReproError
     from .machine import Machine
     from .mpi.runtime import Job
     from .sim import Trace
@@ -1194,25 +885,11 @@ def cmd_trace(args) -> int:
 
     nbytes = parse_size(args.nbytes)
     spec = _spec(args)
-    collective = REGISTRY.get(args.collective)
-    if collective is None:
-        print(
-            f"error: unknown collective {args.collective!r}; "
-            f"known: {sorted(REGISTRY)}",
-            file=sys.stderr,
-        )
-        return 2
-    if not collective.supports(args.nranks):
-        print(
-            f"error: {args.collective!r} does not support P={args.nranks}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        machine = Machine(spec, args.nranks, args.placement)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    check_config(
+        {"collective": args.collective, "nranks": args.nranks, "root": args.root}
+    )
+    collective = REGISTRY[args.collective]
+    machine = Machine(spec, args.nranks, args.placement)
     trace = Trace()
     job = Job(
         machine,
@@ -1243,85 +920,6 @@ def cmd_lint(args) -> int:
     from .analysis.lint import main as lint_main
 
     return lint_main(args.paths)
-
-
-def cmd_prove(args) -> int:
-    import json as _json
-
-    from .analysis.certify import prove_all, prove_collective
-    from .errors import ConfigurationError
-    from .util import parse_size
-
-    if args.all:
-        args.collective = "all"
-    nbytes = parse_size(args.nbytes)
-    try:
-        lo_s, _, hi_s = args.xval.partition(":")
-        lo, hi = int(lo_s), int(hi_s)
-    except ValueError:
-        print(
-            f"error: --xval expects LO:HI, got {args.xval!r}", file=sys.stderr
-        )
-        return 2
-    if args.collective == "all":
-        try:
-            report = prove_all(
-                xval_lo=lo,
-                xval_hi=hi,
-                nbytes=nbytes,
-                skip_crossval=args.no_crossval,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        _persist_artifact(
-            args,
-            "prove",
-            {
-                "xval_lo": lo,
-                "xval_hi": hi,
-                "nbytes": nbytes,
-                "skip_crossval": args.no_crossval,
-            },
-            report.to_dict(),
-        )
-        if args.json:
-            print(_json.dumps(report.to_dict(), indent=2))
-        else:
-            print(report.describe())
-        ok = report.ok_strict() if args.strict else report.ok
-        return 0 if ok else 1
-    try:
-        cert = prove_collective(
-            args.collective,
-            xval_lo=lo,
-            xval_hi=hi,
-            nbytes=nbytes,
-            skip_crossval=args.no_crossval,
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(_json.dumps(cert.to_dict(), indent=2))
-    else:
-        for o in cert.obligations:
-            mark = {"proved": "ok", "structural": "ok*"}.get(o.status, "FAIL")
-            print(f"  [{mark:>4}] {o.oid}: {o.statement}")
-        xval = (
-            "skipped"
-            if cert.crossval_skipped
-            else f"{cert.crossval_points} point(s), "
-            f"{len(cert.crossval_failures)} failure(s)"
-        )
-        for fdesc in cert.crossval_failures[:10]:
-            print(f"  XVAL {fdesc}")
-        print(
-            f"{cert.collective}: {'ok' if cert.ok else 'FAILED'} — "
-            f"{len(cert.obligations)} obligation(s), crossval {xval}"
-        )
-    ok = cert.ok and not (args.strict and cert.crossval_skipped)
-    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1452,27 +1050,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--procs", default="8,10,16,64", help="comma-separated P values")
     p.set_defaults(func=cmd_traffic)
 
-    p = sub.add_parser(
+    p = _add_gate_parser(
+        sub,
         "verify",
-        help="static schedule verification (provenance, redundancy, deadlock)",
-    )
-    p.add_argument(
-        "--collective",
-        default="all",
-        help="registry name (e.g. bcast_native) or 'all' (default)",
-    )
-    p.add_argument(
-        "--nranks", default="8", help="comma-separated process counts (default: 8)"
-    )
-    p.add_argument("--nbytes", default="64KiB", help="message size (default: 64KiB)")
-    p.add_argument("--root", type=int, default=0, help="root rank (default: 0)")
-    p.add_argument(
-        "--json", action="store_true", help="machine-readable JSON output"
-    )
-    p.add_argument(
-        "--strict",
-        action="store_true",
-        help="match-order hazards also fail the verdict",
+        "static schedule verification (provenance, redundancy, deadlock)",
+        collective="all",
+        nranks="8",
+        nbytes="64KiB",
+        strict="match-order hazards also fail the verdict",
     )
     p.add_argument(
         "--no-rendezvous",
@@ -1498,28 +1083,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=20000,
         help="model-checker state budget per point (default: 20000)",
     )
-    _add_serve_arg(p)
-    _add_artifact_arg(p)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser(
+    p = _add_gate_parser(
+        sub,
         "mc",
-        help="exhaustive match-order model checker with DPOR",
-    )
-    p.add_argument(
-        "--collective",
-        default="bcast_opt",
-        help="registry name for single-point mode (default: bcast_opt)",
-    )
-    p.add_argument(
-        "--nranks", default="4", help="comma-separated process counts (default: 4)"
-    )
-    p.add_argument("--nbytes", default="1KiB", help="payload size (default: 1KiB)")
-    p.add_argument("--root", type=int, default=0, help="root rank (default: 0)")
-    p.add_argument(
-        "--grid",
-        action="store_true",
-        help="full registry x P in {2..6}, rings to P=8, seeded fault cells",
+        "exhaustive match-order model checker with DPOR",
+        nranks="4",
+        nbytes="1KiB",
+        grid="full registry x P in {2..6}, rings to P=8, seeded fault cells",
+        strict="budget-truncated (incomplete) explorations also fail",
+        serve=False,
     )
     p.add_argument(
         "--max-states",
@@ -1532,159 +1105,60 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="full enumeration instead of DPOR (reduction baseline)",
     )
-    p.add_argument(
-        "--drop-p", type=float, default=0.0, help="uniform drop probability"
-    )
-    p.add_argument(
-        "--dup-p", type=float, default=0.0, help="uniform duplicate probability"
-    )
-    p.add_argument(
-        "--corrupt-p", type=float, default=0.0, help="uniform corrupt probability"
-    )
-    p.add_argument(
-        "--seed", type=int, default=0, help="fault-plan seed (default: 0)"
-    )
+    for flag, what in (("drop", "drop"), ("dup", "duplicate"), ("corrupt", "corrupt")):
+        p.add_argument(
+            f"--{flag}-p", type=float, default=0.0, help=f"uniform {what} probability"
+        )
+    p.add_argument("--seed", type=int, default=0, help="fault-plan seed (default: 0)")
     p.add_argument(
         "--max-attempts",
         type=int,
         default=4,
         help="abstract ARQ retry budget per send (default: 4)",
     )
-    p.add_argument(
-        "--strict",
-        action="store_true",
-        help="budget-truncated (incomplete) explorations also fail",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="machine-readable JSON output"
-    )
-    _add_artifact_arg(p)
-    p.set_defaults(func=cmd_mc)
 
-    p = sub.add_parser(
+    p = _add_gate_parser(
+        sub,
         "cost",
-        help="static alpha-beta/LogGP cost model (table or differential gate)",
+        "static alpha-beta/LogGP cost model (table or differential gate)",
+        collective="all",
+        nranks=8,
+        nbytes="1MiB",
+        grid="run the full static-vs-simulation differential gate",
+        strict="with --grid: exit nonzero when any gate check fails",
     )
-    p.add_argument(
-        "--machine",
-        choices=sorted(_PRESETS),
-        default=None,
-        help="machine preset (default: hornet for the table, ideal for --grid)",
-    )
-    p.add_argument("--nodes", type=int, default=0, help="override node count")
-    p.add_argument(
-        "--placement",
-        choices=["blocked", "round_robin"],
-        default="blocked",
-        help="rank placement policy",
-    )
-    p.add_argument(
-        "--collective",
-        default="all",
-        help="registry name (e.g. bcast_native) or 'all' (default)",
-    )
-    p.add_argument("--nranks", type=int, default=8, help="process count (default: 8)")
-    p.add_argument("--nbytes", default="1MiB", help="message size (default: 1MiB)")
-    p.add_argument("--root", type=int, default=0, help="root rank (default: 0)")
-    p.add_argument(
-        "--grid",
-        action="store_true",
-        help="run the full static-vs-simulation differential gate",
-    )
+    _add_machine_args(p, default=None, note="hornet for the table, ideal for --grid")
     p.add_argument(
         "--band",
         type=float,
         default=0.5,
         help="tightness band for --grid: t_bound >= band * makespan (default: 0.5)",
     )
-    p.add_argument(
-        "--strict",
-        action="store_true",
-        help="with --grid: exit nonzero when any gate check fails",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="machine-readable JSON output"
-    )
-    _add_serve_arg(p)
-    _add_artifact_arg(p)
-    p.set_defaults(func=cmd_cost)
 
-    p = sub.add_parser(
+    p = _add_gate_parser(
+        sub,
         "chaos",
-        help="fault-injection differential gate on the reliable transport",
+        "fault-injection differential gate on the reliable transport",
+        nranks=8,
+        nbytes="4KiB",
+        root=False,
+        grid="run every registry collective at the default rank grid",
+        strict="exit nonzero when any chaos check fails",
     )
-    p.add_argument(
-        "--machine",
-        choices=sorted(_PRESETS),
-        default=None,
-        help="machine preset (default: ideal)",
-    )
-    p.add_argument("--nodes", type=int, default=0, help="override node count")
-    p.add_argument(
-        "--seed", type=int, default=0, help="fault-plan seed (default: 0)"
-    )
-    p.add_argument(
-        "--collective",
-        default="bcast_opt",
-        help="registry name for single-point mode (default: bcast_opt)",
-    )
-    p.add_argument("--nranks", type=int, default=8, help="process count (default: 8)")
-    p.add_argument(
-        "--nbytes", default="4KiB", help="message size (default: 4KiB)"
-    )
-    p.add_argument(
-        "--grid",
-        action="store_true",
-        help="run every registry collective at the default rank grid",
-    )
-    p.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit nonzero when any chaos check fails",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="machine-readable JSON output"
-    )
-    _add_serve_arg(p)
-    _add_artifact_arg(p)
-    p.set_defaults(func=cmd_chaos)
+    _add_machine_args(p, default="ideal", placement=False)
+    p.add_argument("--seed", type=int, default=0, help="fault-plan seed (default: 0)")
 
-    p = sub.add_parser(
+    p = _add_gate_parser(
+        sub,
         "replay",
-        help="vectorized-replay differential gate (bitwise DES equality)",
+        "vectorized-replay differential gate (bitwise DES equality)",
+        nranks=8,
+        nbytes="64KiB",
+        root=False,
+        grid="run every registry collective at the default rank/size grid",
+        strict="exit nonzero when any replay check fails",
     )
-    p.add_argument(
-        "--machine",
-        choices=sorted(_PRESETS),
-        default="hornet",
-        help="machine preset (default: hornet)",
-    )
-    p.add_argument("--nodes", type=int, default=0, help="override node count")
-    p.add_argument(
-        "--collective",
-        default="bcast_opt",
-        help="registry name for single-point mode (default: bcast_opt)",
-    )
-    p.add_argument("--nranks", type=int, default=8, help="process count (default: 8)")
-    p.add_argument(
-        "--nbytes", default="64KiB", help="message size (default: 64KiB)"
-    )
-    p.add_argument(
-        "--grid",
-        action="store_true",
-        help="run every registry collective at the default rank/size grid",
-    )
-    p.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit nonzero when any replay check fails",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="machine-readable JSON output"
-    )
-    _add_serve_arg(p)
-    _add_artifact_arg(p)
-    p.set_defaults(func=cmd_replay)
+    _add_machine_args(p, placement=False)
 
     p = sub.add_parser(
         "audit",
@@ -1773,29 +1247,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_lint)
 
-    p = sub.add_parser(
+    p = _add_gate_parser(
+        sub,
         "prove",
-        help="parametric certificate checker: symbolic all-P schedule proofs",
-    )
-    p.add_argument(
-        "--collective",
-        default="all",
-        help="certificate to check, or 'all' for the whole registry "
-        "(default: all)",
+        "parametric certificate checker: symbolic all-P schedule proofs",
+        collective="all",
+        nbytes="64KiB",
+        root=False,
+        strict="also fail when cross-validation was skipped",
+        serve=False,
     )
     p.add_argument(
         "--all",
         action="store_true",
         help="check every registry collective (the default; certified "
         "entries are proved, the rest must carry waivers)",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="machine-readable report"
-    )
-    p.add_argument(
-        "--strict",
-        action="store_true",
-        help="also fail when cross-validation was skipped",
     )
     p.add_argument(
         "--xval",
@@ -1809,13 +1275,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="symbolic obligations only (fails under --strict)",
     )
-    p.add_argument(
-        "--nbytes",
-        default="64KiB",
-        help="message size for cross-validation points (default: 64KiB)",
-    )
-    _add_artifact_arg(p)
-    p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser(
         "validate", help="data-checked run of every broadcast algorithm"
@@ -1866,26 +1325,20 @@ def main(argv=None) -> int:
     import os
     from time import perf_counter
 
-    from .errors import ArtifactError, ConfigurationError
+    from .errors import ArtifactError, ConfigurationError, MachineError
 
     args = build_parser().parse_args(argv)
     gate_log = os.environ.get("REPRO_GATE_TIMES")
     start = perf_counter() if gate_log else 0.0
     try:
         code = args.func(args)
-    except ServiceUnavailableError as exc:
-        # An explicitly requested server that is not there is a usage
-        # error (exit 2), not a crash: print the actionable one-liner.
-        print(f"error: {exc}", file=sys.stderr)
-        code = 2
-    except ArtifactError as exc:
-        # A missing/unreadable artifact reference is a usage error too;
-        # a *failed* audit (records no longer reproduce) exits 1.
-        print(f"error: {exc}", file=sys.stderr)
-        code = 2
-    except ConfigurationError as exc:
-        # Uniform CLI convention: configuration/usage errors exit 2
-        # (violations exit 1, clean runs 0) across every subcommand.
+    except (
+        ServiceUnavailableError, ArtifactError, ConfigurationError, MachineError
+    ) as exc:
+        # Usage errors exit 2 across every subcommand (violations exit 1,
+        # clean runs 0): an explicitly named server that is not there, a
+        # missing or unreadable artifact reference (a *failed* audit exits
+        # 1), a malformed config or an invalid machine spec.
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     if gate_log:

@@ -58,7 +58,7 @@ from ..machine import Machine, MachineSpec, TransferPlan, ideal
 from ..mpi.runtime import Job
 from ..util import KIB, MIB
 from . import symbolic
-from .verify import REGISTRY
+from .verify import REGISTRY, registered
 
 __all__ = [
     "LinkLoad",
@@ -340,17 +340,7 @@ def analyze_collective(
     placement: str = "blocked",
 ) -> CostReport:
     """Extract a registry collective's schedule and cost it statically."""
-    try:
-        collective = REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown collective {name!r}; known: {sorted(REGISTRY)}"
-        ) from None
-    if not collective.supports(nranks):
-        raise ConfigurationError(
-            f"collective {name!r} does not support P={nranks}"
-            + (" (power-of-two only)" if collective.pof2_only else "")
-        )
+    collective = registered(name, nranks)
     machine = Machine(spec if spec is not None else ideal(), nranks, placement)
     machine.set_working_set(nbytes)
     node_map = tuple(machine.placement.node_of(r) for r in range(nranks))

@@ -91,7 +91,7 @@ from ..mpi.ops import ANY_TAG, ComputeOp, IrecvOp, IsendOp, RecvOp, SendOp, Wait
 from ..mpi.request import Request, Status
 from ..sim import Proc
 from ..sim.faults import FaultPlan, LinkRule
-from .verify import REGISTRY, Violation
+from .verify import REGISTRY, Violation, registered
 
 __all__ = [
     "DEFAULT_MAX_STATES",
@@ -1108,17 +1108,7 @@ def check_collective(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> MCReport:
     """Model-check one registry collective over real payload buffers."""
-    try:
-        spec = REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown collective {name!r}; known: {sorted(REGISTRY)}"
-        ) from None
-    if not spec.supports(nranks):
-        raise ConfigurationError(
-            f"collective {name!r} does not support P={nranks}"
-            + (" (power-of-two only)" if spec.pof2_only else "")
-        )
+    spec = registered(name, nranks)
     return check_program(
         nranks,
         make_factory=lambda: spec.build(nranks, nbytes, root),

@@ -87,6 +87,7 @@ __all__ = [
     "CollectiveSpec",
     "REGISTRY",
     "verifiable_collectives",
+    "registered",
     "expected_redundant_native",
     "verify_provenance",
     "find_match_hazards",
@@ -1037,6 +1038,22 @@ def verifiable_collectives(nranks: Optional[int] = None) -> List[str]:
     return [n for n in names if REGISTRY[n].supports(nranks)]
 
 
+def registered(name: str, nranks: Optional[int] = None) -> CollectiveSpec:
+    """The registry entry *name*, or a :class:`ConfigurationError` when it
+    is unknown or (given *nranks*) does not support that process count."""
+    spec = REGISTRY.get(name)
+    if spec is None:
+        raise ConfigurationError(
+            f"unknown collective {name!r}; known: {sorted(REGISTRY)}"
+        )
+    if nranks is not None and not spec.supports(nranks):
+        raise ConfigurationError(
+            f"collective {name!r} does not support P={nranks}"
+            + (" (power-of-two only)" if spec.pof2_only else "")
+        )
+    return spec
+
+
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
@@ -1146,17 +1163,7 @@ def verify_collective(
     divergence (or an unfinished exploration) leaves them standing; any
     model-checker violation is appended to the report's violations.
     """
-    try:
-        spec = REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown collective {name!r}; known: {sorted(REGISTRY)}"
-        ) from None
-    if not spec.supports(nranks):
-        raise ConfigurationError(
-            f"collective {name!r} does not support P={nranks}"
-            + (" (power-of-two only)" if spec.pof2_only else "")
-        )
+    spec = registered(name, nranks)
     report = verify_program(
         nranks,
         spec.build(nranks, nbytes, root),

@@ -24,7 +24,7 @@ from "the result rotted".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, List, Optional
 
 from ..errors import ArtifactError
 from .store import ArtifactStore, RunArtifact, artifact_digest, scrub
@@ -70,7 +70,6 @@ def _diff(exp: Any, act: Any, path: str, out: List[str]) -> None:
         out.append(f"{path}: stored {exp!r} vs re-executed {act!r}")
 
 
-# -- per-kind re-execution runners ------------------------------------
 def _rerun_sweep(config: dict) -> Any:
     import dataclasses
 
@@ -92,106 +91,22 @@ def _rerun_sweep(config: dict) -> Any:
     return [dataclasses.asdict(rec) for rec in records]
 
 
-def _rerun_verify(config: dict) -> Any:
-    from ..analysis.verify import verifiable_collectives, verify_collective
-
-    nbytes = int(config.get("nbytes", 65536))
-    root = int(config.get("root", 0))
-    rendezvous = bool(config.get("rendezvous", True))
-    collective = config.get("collective", "all")
-    reports = []
-    for nranks in [int(p) for p in config.get("ranks", [8])]:
-        names = (
-            verifiable_collectives(nranks)
-            if collective == "all"
-            else [collective]
-        )
-        for name in names:
-            reports.append(
-                verify_collective(
-                    name, nranks, nbytes=nbytes, root=root,
-                    rendezvous=rendezvous,
-                )
-            )
-    return [r.to_dict() for r in reports]
-
-
-def _rerun_cost(config: dict) -> Any:
-    from ..analysis.costmodel import differential_gate
-    from ..service import protocol
-
-    return differential_gate(
-        spec=protocol.decode_spec(config["spec"]),
-        placement=config.get("placement", "blocked"),
-        band=float(config.get("band", 0.5)),
-    ).to_dict()
-
-
-def _rerun_chaos(config: dict) -> Any:
-    from ..analysis.chaos import DEFAULT_RANKS, chaos_gate
-    from ..service import protocol
-
-    return chaos_gate(
-        seed=int(config.get("seed", 0)),
-        spec=protocol.decode_spec(config["spec"]),
-        collectives=config.get("collectives"),
-        ranks=config.get("ranks") or DEFAULT_RANKS,
-        nbytes=int(config.get("nbytes", 4096)),
-    ).to_dict()
-
-
-def _rerun_replay(config: dict) -> Any:
-    from ..analysis.replaygate import DEFAULT_RANKS, DEFAULT_SIZES, replay_gate
-    from ..service import protocol
-
-    return replay_gate(
-        spec=protocol.decode_spec(config["spec"]),
-        ranks=config.get("ranks") or DEFAULT_RANKS,
-        sizes=config.get("sizes") or DEFAULT_SIZES,
-    ).to_dict()
-
-
-def _rerun_mc(config: dict) -> Any:
-    from ..analysis.modelcheck import mc_grid
-
-    return mc_grid(
-        nbytes=int(config.get("nbytes", 1024)),
-        max_states=int(config.get("max_states", 20000)),
-        seed=int(config.get("seed", 0)),
-    ).to_dict()
-
-
-def _rerun_prove(config: dict) -> Any:
-    from ..analysis.certify import prove_all
-
-    return prove_all(
-        xval_lo=int(config.get("xval_lo", 2)),
-        xval_hi=int(config.get("xval_hi", 64)),
-        nbytes=int(config.get("nbytes", 65536)),
-        skip_crossval=bool(config.get("skip_crossval", False)),
-    ).to_dict()
-
-
-RUNNERS: Dict[str, Callable[[dict], Any]] = {
-    "sweep": _rerun_sweep,
-    "verify": _rerun_verify,
-    "cost": _rerun_cost,
-    "chaos": _rerun_chaos,
-    "replay": _rerun_replay,
-    "mc": _rerun_mc,
-    "prove": _rerun_prove,
-}
-
-
 def reexecute(artifact: RunArtifact) -> Any:
-    """Replay an artifact's recipe; returns the fresh payload."""
-    runner = RUNNERS.get(artifact.kind)
-    if runner is None:
+    """Replay an artifact's recipe; returns the fresh payload.
+
+    A sweep re-runs through the sweep executor; every other kind is a
+    gate and re-runs through the gate table the CLI used to record it.
+    """
+    if artifact.kind == "sweep":
+        return _rerun_sweep(artifact.config)
+    from ..analysis import gates
+
+    if not gates.recorded(artifact.kind):
+        known = ["sweep"] + [k for k in sorted(gates.GATES) if gates.recorded(k)]
         raise ArtifactError(
-            f"cannot re-execute artifact kind {artifact.kind!r} "
-            f"(known: {sorted(RUNNERS)})"
+            f"cannot re-execute artifact kind {artifact.kind!r} (known: {known})"
         )
-    return runner(artifact.config)
+    return gates.evaluate(artifact.kind, artifact.config)["report"]
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ All bandwidths are bytes/second, all latencies seconds, all sizes bytes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 from ..errors import MachineError
@@ -86,6 +87,17 @@ class MachineSpec:
     queueing_kappa: float = 0.0
 
     def __post_init__(self) -> None:
+        for attr in (
+            "nodes",
+            "cores_per_node",
+            "eager_threshold",
+            "l3_bytes",
+            "mem_pressure_bytes",
+            "seed",
+        ):
+            value = getattr(self, attr)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise MachineError(f"{attr} must be an integer, got {value!r}")
         # Every check is written so that NaN fails it.
         if not self.nodes >= 1:
             raise MachineError(f"need at least one node, got {self.nodes}")

@@ -412,14 +412,20 @@ class ServiceClient:
                     )
 
     def gate(
-        self, gate: str, params: Optional[dict] = None, timeout=_UNSET
+        self,
+        gate: str,
+        config: Optional[dict] = None,
+        strict: bool = False,
+        timeout=_UNSET,
     ) -> dict:
-        """Run a verify/cost/chaos/replay grid server-side.
+        """Run one analysis gate server-side (:mod:`repro.analysis.gates`).
 
-        Returns ``{"ok": bool, "text": str, "report": ...}``.
+        Returns ``{"ok": bool, "text": str, "report": ...}``; ``report``
+        is ``None`` when the gate raised, with ``usage`` set for a
+        malformed config.
         """
         reply = self._request_one(
-            {"op": "gate", "gate": gate, "params": params or {}},
+            {"op": "gate", "gate": gate, "params": config or {}, "strict": strict},
             timeout=timeout,
         )
         if reply.get("type") != "gate":

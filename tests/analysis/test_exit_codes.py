@@ -37,6 +37,12 @@ CONFIG_ERROR_INVOCATIONS = [
     ["prove", "--xval", "9:2"],
     ["traffic", "--procs", "x,y"],
     ["audit", "no-such-artifact", "--dir", "/nonexistent-artifact-store"],
+    ["replay", "--nodes", "-1"],
+    ["sweep", "--nodes", "-1"],
+    ["verify", "--nranks", "4", "--root", "9"],
+    ["cost", "--nranks", "4", "--root", "9"],
+    ["cost", "--nranks", "0"],
+    ["chaos", "--nranks", "0"],
 ]
 
 

@@ -49,6 +49,23 @@ class TestValidation:
         with pytest.raises(MachineError):
             MachineSpec(**{field: float("nan")})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("nodes", 2.5),
+            ("cores_per_node", 3.5),
+            ("eager_threshold", 8192.5),
+            ("l3_bytes", 1.5e6),
+            ("mem_pressure_bytes", "1GiB"),
+            ("seed", float("nan")),
+        ],
+    )
+    def test_rejects_non_integer_field(self, field, value):
+        """Integer fields are type-checked, not left to fail (or simulate
+        silently) deep inside the machine build or the RNG seeding."""
+        with pytest.raises(MachineError, match="must be an integer"):
+            MachineSpec(**{field: value})
+
     @pytest.mark.parametrize("field", ["alpha_intra", "send_overhead", "hop_latency"])
     def test_rejects_infinite_latency(self, field):
         with pytest.raises(MachineError, match="finite"):

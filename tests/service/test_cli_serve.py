@@ -119,6 +119,53 @@ class TestRouting:
         assert rc == 0
         assert "verified" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--nranks", "4"], ["cost", "--grid", "--strict"]],
+        ids=lambda a: " ".join(a),
+    )
+    def test_routed_gate_matches_local(self, argv, capsys, server, tmp_path):
+        state = str(tmp_path / "service.json")
+
+        def run(*extra):
+            code = main(argv + list(extra))
+            out = capsys.readouterr().out.splitlines()
+            return code, [line for line in out if not line.startswith("artifact: ")]
+
+        for extra in ([], ["--json"]):
+            local = run(*extra, "--artifact", str(tmp_path / "local"))
+            routed = run(*extra, "--artifact", str(tmp_path / "routed"), "--serve", state)
+            assert routed == local
+            assert local[0] == 0
+            if argv[0] == "verify" and not extra:  # the cost pass ran too
+                assert "cost-model consistency pass: 22 report(s) OK" in local[1]
+        from repro.service import ServiceClient
+
+        assert ServiceClient(server.host, server.port).stats()["jobs"] == 2
+
+    def test_routed_gate_records_an_auditable_artifact(
+        self, capsys, server, tmp_path
+    ):
+        from repro.artifacts import ArtifactStore
+
+        routed, local = tmp_path / "routed", tmp_path / "local"
+        argv = ["verify", "--nranks", "4", "--no-cost"]
+        assert main(argv + ["--serve", str(tmp_path / "service.json"),
+                            "--artifact", str(routed)]) == 0
+        assert main(argv + ["--artifact", str(local)]) == 0
+        [path] = routed.glob("verify-*.json")
+        stored = ArtifactStore(routed).load(path)
+        assert stored.records == ArtifactStore(local).load(path.stem).records
+        capsys.readouterr()
+        assert main(["audit", "--dir", str(routed)]) == 0
+        assert "reproduced the stored records bit-for-bit" in capsys.readouterr().out
+
+    def test_routed_usage_error_exits_two(self, capsys, server, tmp_path):
+        state = str(tmp_path / "service.json")
+        argv = ["verify", "--nranks", "4", "--root", "9", "--serve", state]
+        assert main(argv) == 2
+        assert "root 9" in capsys.readouterr().err
+
     def test_status_and_stop_against_live_server(self, capsys, server, tmp_path):
         state = str(tmp_path / "service.json")
         assert main(["serve", "--status", "--state-file", state]) == 0

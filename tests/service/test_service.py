@@ -140,6 +140,11 @@ class TestSweepEquality:
         reply = client.gate("nonsense", {})
         assert reply["ok"] is False
 
+    def test_gate_bad_config_is_a_usage_error(self, client):
+        reply = client.gate("verify", {"ranks": [4], "root": 9})
+        assert reply["report"] is None and reply["usage"] is True
+        assert "root 9" in reply["text"]
+
 
 class TestExecutorRouting:
     def test_executor_service_matches_serial(self, server, tmp_path):
